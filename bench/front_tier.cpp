@@ -15,7 +15,7 @@
 // via parallel_map with per-cell deterministic seeds, so the matrix is
 // byte-identical at any thread count).
 //
-//   ./build/bench/front_tier --tier-kbs 8,16,32 --policies lru,comp,dedup
+//   ./build/bench/front_tier --tier-kbs 8,16,32 --policies lru,silent,comp
 //   ./build/bench/front_tier --expect_checksum <pinned> --threads 8
 #include <iostream>
 #include <string>
@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
     kbs.push_back(static_cast<std::size_t>(std::stoull(s)));
   }
   std::vector<TierPolicy> policies;
-  for (const std::string& s : split_csv(args.get("policies", "lru,silent,comp,dedup"))) {
+  for (const std::string& s : split_csv(args.get("policies", "lru,silent,comp"))) {
     policies.push_back(tier_policy_from_string(s));
   }
   std::vector<AppProfile> apps;
@@ -113,7 +113,6 @@ int main(int argc, char** argv) {
     fold(r.tier.silent_drops);
     fold(r.tier.inserts);
     fold(r.tier.evictions);
-    fold(r.tier.dedup_shares);
     fold(r.tier.fp_false_hits);
     fold(r.tier.words_forwarded);
     fold(r.tier.words_touched);
@@ -158,7 +157,6 @@ int main(int argc, char** argv) {
               << ", \"absorbed\": " << r.tier.absorbed()
               << ", \"absorb_pct\": " << absorbed_pct
               << ", \"silent_drops\": " << r.tier.silent_drops
-              << ", \"dedup_shares\": " << r.tier.dedup_shares
               << ", \"amplification\": " << amp
               << ", \"tier_lat_cycles\": " << r.tier_write_latency_cycles << "}";
     first = false;

@@ -52,7 +52,7 @@ double place_ns_per_find(std::size_t faults_per_line, std::uint64_t seed) {
       array.inject_fault(line, rng.next_below(kBlockBits), rng.next_bool(0.5));
     }
   }
-  const auto scheme = make_scheme(EccKind::kEcp6);
+  const auto scheme = make_scheme("ecp6");
   const WindowPlacer placer(*scheme);
   constexpr std::size_t kIters = 200;
   std::size_t sink = 0;

@@ -72,14 +72,13 @@ int main(int argc, char** argv) {
   cfg.tenant_batch = static_cast<std::size_t>(args.get_int("tenant_batch", 256));
   cfg.arrival_gap_cycles = static_cast<std::uint64_t>(args.get_int("gap_cycles", 16));
   cfg.prefetch = args.get_bool("prefetch");
-  // `--tier-kb N --tier-policy lru|silent|comp|dedup` fronts every shard with
-  // a content-aware DRAM tier (capacity is per shard). Off by default, which
-  // keeps the pre-tier pinned checksum byte-identical.
+  // `--tier-kb N --tier-policy lru|silent|comp` fronts every shard with a
+  // content-aware DRAM tier (capacity is per shard). Off by default, which
+  // keeps the pre-tier pinned checksum byte-identical. The policy is parsed
+  // even without --tier-kb so a bad value never runs silently.
   const auto tier_kb = static_cast<std::size_t>(args.get_int("tier-kb", 0));
-  if (tier_kb > 0) {
-    cfg.tier = FrontTierConfig::for_kb(
-        tier_kb, tier_policy_from_string(args.get("tier-policy", "lru")));
-  }
+  const TierPolicy tier_policy = tier_policy_from_string(args.get("tier-policy", "lru"));
+  if (tier_kb > 0) cfg.tier = FrontTierConfig::for_kb(tier_kb, tier_policy);
 
   ShardedPcmEngine engine(cfg);
   engine.add_sampled_tenants(apps);
@@ -132,7 +131,6 @@ int main(int argc, char** argv) {
             << "    \"offered\": " << result.tier.offered << ",\n"
             << "    \"absorbed\": " << result.tier.absorbed() << ",\n"
             << "    \"silent_drops\": " << result.tier.silent_drops << ",\n"
-            << "    \"dedup_shares\": " << result.tier.dedup_shares << ",\n"
             << "    \"evictions\": " << result.tier.evictions << "\n"
             << "  },\n"
             << "  \"modeled_write_latency_cycles_mean\": " << lat.mean() << ",\n"

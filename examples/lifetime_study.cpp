@@ -49,14 +49,15 @@ using namespace pcmsim;
 
 namespace {
 
-/// Shared `--tier-kb N --tier-policy lru|silent|comp|dedup` parsing; returns
-/// a disabled config when the flags are absent, so every pre-tier invocation
-/// behaves (and checksums) exactly as before.
+/// Shared `--tier-kb N --tier-policy lru|silent|comp` parsing; returns a
+/// disabled config when --tier-kb is absent, so every pre-tier invocation
+/// behaves (and checksums) exactly as before. The policy is parsed either way
+/// so a bad value never runs silently.
 FrontTierConfig tier_config_from_cli(const CliArgs& args) {
   const auto tier_kb = static_cast<std::size_t>(args.get_int("tier-kb", 0));
+  const TierPolicy policy = tier_policy_from_string(args.get("tier-policy", "lru"));
   if (tier_kb == 0) return {};
-  return FrontTierConfig::for_kb(tier_kb,
-                                 tier_policy_from_string(args.get("tier-policy", "lru")));
+  return FrontTierConfig::for_kb(tier_kb, policy);
 }
 
 int run_multi_tenant(const CliArgs& args) {

@@ -1,22 +1,22 @@
 // Portable SIMD layer for the write-path hot kernels.
 //
-// Three backends implement the same four kernels in separate translation
+// Two backends implement the same four kernels in separate translation
 // units, selected at configure time by the PCMSIM_SIMD CMake option
-// (AUTO / AVX2 / FALLBACK / OFF -> compile definition PCMSIM_SIMD_BACKEND):
+// (AUTO / AVX2 / OFF -> compile definition PCMSIM_SIMD_BACKEND):
 //
-//  * scalar   (simd_scalar.cpp)   — the bit-walk reference implementation;
-//    every other backend must be bit-identical to it (tests/simd_kernel_test
-//    drives the differential checks, CI runs a forced-scalar job),
-//  * fallback (simd_fallback.cpp) — 128-bit GNU vector extensions; compiles
-//    to SSE2 on x86 and to NEON on AArch64 without any -m flags,
-//  * avx2     (simd_avx2.cpp)     — 256-bit intrinsics, x86-64 only; the TU
-//    is compiled with -mavx2 regardless of the active backend so tests can
-//    cross-check it (runtime entry is cpuid-gated via compiled_backends()).
+//  * scalar (simd_scalar.cpp) — the bit-walk reference implementation; the
+//    AVX2 backend must be bit-identical to it (tests/simd_kernel_test drives
+//    the differential checks, CI runs a forced-scalar job),
+//  * avx2   (simd_avx2.cpp)   — 256-bit intrinsics, x86-64 only; the TU is
+//    compiled with -mavx2 regardless of the active backend so tests can
+//    cross-check it from a forced-scalar build (callers outside the active
+//    alias must check cpuid first).
+//
+// AUTO picks avx2 on x86-64 and scalar elsewhere.
 //
 // `simd::active` aliases the selected backend's namespace, so call sites are
 // compile-time dispatched (`simd::active::scan_words(...)`) and LTO can
-// inline across the TU boundary. The KernelTable registry exists for the
-// differential tests only — never call through it on a hot path.
+// inline across the TU boundary.
 //
 // Kernel contracts (identical across backends):
 //
@@ -49,7 +49,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <span>
 
 namespace pcmsim::simd {
 
@@ -94,33 +93,13 @@ inline constexpr std::array<std::uint8_t, 8> kFpcWordBits = {0,  3 + 4,  3 + 8, 
   return bits;
 }
 
-/// Differential-test registry entry: one backend's kernels by pointer.
-struct KernelTable {
-  const char* name;
-  void (*endurance_decrement64)(std::uint16_t* lanes, std::uint64_t mask);
-  std::uint16_t (*masked_min_u16)(const std::uint16_t* lanes, const std::uint64_t* skip,
-                                  std::size_t words64);
-  void (*scan_words)(const std::uint64_t* words8, BlockScan& out);
-  void (*merge_block_u32)(std::uint8_t* dst, const std::uint8_t* src, std::uint16_t mask);
-};
-
 namespace scalar {
 void endurance_decrement64(std::uint16_t* lanes, std::uint64_t mask);
 std::uint16_t masked_min_u16(const std::uint16_t* lanes, const std::uint64_t* skip,
                              std::size_t words64);
 void scan_words(const std::uint64_t* words8, BlockScan& out);
 void merge_block_u32(std::uint8_t* dst, const std::uint8_t* src, std::uint16_t mask);
-extern const KernelTable kTable;
 }  // namespace scalar
-
-namespace fallback {
-void endurance_decrement64(std::uint16_t* lanes, std::uint64_t mask);
-std::uint16_t masked_min_u16(const std::uint16_t* lanes, const std::uint64_t* skip,
-                             std::size_t words64);
-void scan_words(const std::uint64_t* words8, BlockScan& out);
-void merge_block_u32(std::uint8_t* dst, const std::uint8_t* src, std::uint16_t mask);
-extern const KernelTable kTable;
-}  // namespace fallback
 
 #if defined(__x86_64__) || defined(__amd64__) || defined(_M_X64)
 #define PCMSIM_SIMD_HAS_AVX2 1
@@ -130,35 +109,24 @@ std::uint16_t masked_min_u16(const std::uint16_t* lanes, const std::uint64_t* sk
                              std::size_t words64);
 void scan_words(const std::uint64_t* words8, BlockScan& out);
 void merge_block_u32(std::uint8_t* dst, const std::uint8_t* src, std::uint16_t mask);
-extern const KernelTable kTable;
 }  // namespace avx2
 #else
 #define PCMSIM_SIMD_HAS_AVX2 0
 #endif
 
-// Compile-time backend selection (0 = scalar, 1 = fallback, 2 = avx2); the
-// definition comes from src/common/CMakeLists.txt via the PCMSIM_SIMD option.
+// Compile-time backend selection (0 = scalar, 1 = avx2); the definition
+// comes from src/common/CMakeLists.txt via the PCMSIM_SIMD option.
 #ifndef PCMSIM_SIMD_BACKEND
 #define PCMSIM_SIMD_BACKEND 0
 #endif
 
-#if PCMSIM_SIMD_BACKEND == 2
+#if PCMSIM_SIMD_BACKEND == 1
 #if !PCMSIM_SIMD_HAS_AVX2
-#error "PCMSIM_SIMD_BACKEND=2 (AVX2) requires an x86-64 target"
+#error "PCMSIM_SIMD_BACKEND=1 (AVX2) requires an x86-64 target"
 #endif
 namespace active = avx2;
-#elif PCMSIM_SIMD_BACKEND == 1
-namespace active = fallback;
 #else
 namespace active = scalar;
 #endif
-
-/// Name of the compile-time-selected backend ("scalar", "fallback", "avx2").
-[[nodiscard]] const char* backend_name();
-
-/// Backends compiled into this binary AND runnable on this CPU (the avx2
-/// entry is dropped when cpuid lacks AVX2). Scalar is always first, so
-/// differential tests can use backends()[0] as the oracle.
-[[nodiscard]] std::span<const KernelTable* const> compiled_backends();
 
 }  // namespace pcmsim::simd

@@ -1,7 +1,7 @@
 // AVX2 backend: 256-bit lanes, x86-64 only. This TU is always compiled with
 // -mavx2 (see src/common/CMakeLists.txt) so the differential tests can run
-// it even when another backend is active; runtime entry from outside the
-// active alias goes through compiled_backends(), which checks cpuid.
+// it even when the scalar backend is active; callers from outside the active
+// alias must check cpuid for AVX2 first.
 #include "common/simd.hpp"
 
 #if PCMSIM_SIMD_HAS_AVX2
@@ -264,9 +264,6 @@ void merge_block_u32(std::uint8_t* dst, const std::uint8_t* src, std::uint16_t m
   _mm256_storeu_si256(d + 1, _mm256_blendv_epi8(_mm256_loadu_si256(d + 1),
                                                 _mm256_loadu_si256(s + 1), sel_hi));
 }
-
-const KernelTable kTable = {"avx2", &endurance_decrement64, &masked_min_u16, &scan_words,
-                            &merge_block_u32};
 
 }  // namespace avx2
 

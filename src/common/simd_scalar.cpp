@@ -1,6 +1,5 @@
-// Scalar reference backend: the definitional bit-walk implementations every
-// vector backend is differentially tested against. Also hosts the backend
-// registry, since scalar is the one backend that always exists.
+// Scalar reference backend: the definitional bit-walk implementations the
+// AVX2 backend is differentially tested against.
 #include "common/simd.hpp"
 
 #include <cstring>
@@ -141,22 +140,6 @@ void merge_block_u32(std::uint8_t* dst, const std::uint8_t* src, std::uint16_t m
   }
 }
 
-const KernelTable kTable = {"scalar", &endurance_decrement64, &masked_min_u16, &scan_words,
-                            &merge_block_u32};
-
 }  // namespace scalar
-
-const char* backend_name() { return active::kTable.name; }
-
-std::span<const KernelTable* const> compiled_backends() {
-#if PCMSIM_SIMD_HAS_AVX2
-  static const bool have_avx2 = __builtin_cpu_supports("avx2");
-  static const KernelTable* const with_avx2[] = {&scalar::kTable, &fallback::kTable,
-                                                 &avx2::kTable};
-  if (have_avx2) return {with_avx2, 3};
-#endif
-  static const KernelTable* const portable[] = {&scalar::kTable, &fallback::kTable};
-  return {portable, 2};
-}
 
 }  // namespace pcmsim::simd

@@ -48,6 +48,14 @@ bool fits_signed(std::int64_t delta, std::size_t bytes) {
   return delta >= lo && delta <= hi;
 }
 
+/// a - b with two's-complement wraparound (computed in uint64_t, so no
+/// signed-overflow UB): the same bits the SIMD backends' wrapped b8 deltas
+/// model.
+std::int64_t wrapping_sub(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                   static_cast<std::uint64_t>(b));
+}
+
 /// Loads word `i` of `base_bytes` bytes as an unsigned value.
 std::uint64_t load_word(const Block& block, std::size_t i, std::size_t base_bytes) {
   std::uint64_t v = 0;
@@ -138,7 +146,7 @@ std::optional<CompressedBlock> BdiCompressor::compress_with_layout(const Block& 
         base = load_word(block, i, k);
         base_value = sign_extend(base, k);
       }
-      delta = word - base_value;
+      delta = wrapping_sub(word, base_value);
       if (!fits_signed(delta, d)) return std::nullopt;
       uses_base |= 1ull << i;
     }
@@ -177,7 +185,7 @@ bool BdiCompressor::layout_applies(const Block& block, BdiLayout layout) {
       base_value = word;  // the base's own delta is 0
       continue;
     }
-    if (!fits_signed(word - base_value, d)) return false;
+    if (!fits_signed(wrapping_sub(word, base_value), d)) return false;
   }
   return true;
 }
@@ -242,8 +250,10 @@ Block BdiCompressor::decompress(const CompressedBlock& cb) const {
     std::memcpy(&delta_raw, cb.bytes.data() + k + i * d, d);
     const std::int64_t delta = sign_extend(delta_raw, d);
     const bool uses_base = (mask[i / 8] >> (i % 8)) & 1u;
-    const std::int64_t word = (uses_base ? base : 0) + delta;
-    store_word(block, i, k, static_cast<std::uint64_t>(word));
+    // Wrapping add: inverts the wrapped delta of compress_with_layout.
+    const std::uint64_t word =
+        static_cast<std::uint64_t>(uses_base ? base : 0) + static_cast<std::uint64_t>(delta);
+    store_word(block, i, k, word);
   }
   return block;
 }

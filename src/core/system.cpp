@@ -57,7 +57,7 @@ PcmSystem::PcmSystem(const SystemConfig& config)
       startgap_(config.device.lines - 1, config.gap_interval, config.startgap_randomize,
                 config.seed),
       rotator_(config.banks, auto_rotation_threshold(config), config.rotation_step_bytes),
-      scheme_(make_scheme(config.resolved_ecc_spec())),
+      scheme_(make_scheme(config.ecc_spec)),
       placer_(*scheme_),
       lines_(config.device.lines) {
   expects(config.device.lines >= 2, "need at least one logical line plus the gap");

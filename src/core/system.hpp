@@ -44,12 +44,10 @@ enum class SystemMode : std::uint8_t {
 
 struct SystemConfig {
   SystemMode mode = SystemMode::kCompWF;
-  /// Deprecated compat shim: consulted only while `ecc_spec` is empty.
-  EccKind ecc = EccKind::kEcp6;
   /// Hard-error scheme spec resolved through the ECC registry ("ecp6",
-  /// "bch-t2", "coset-w4", ... — see ecc/registry.hpp). Takes precedence
-  /// over the legacy `ecc` enum when non-empty.
-  std::string ecc_spec;
+  /// "bch-t2", "coset-w4", ... — see ecc/registry.hpp); the only scheme
+  /// selector. An unknown spec throws ContractViolation at construction.
+  std::string ecc_spec = "ecp6";
   PcmDeviceConfig device;         ///< device.lines = physical lines (incl. gap)
   std::uint32_t banks = 8;        ///< Table II: 2 channels x 1 rank x 4 banks
   std::uint64_t gap_interval = 100;
@@ -72,11 +70,6 @@ struct SystemConfig {
     return mode == SystemMode::kCompWF && heuristic.enabled;
   }
   [[nodiscard]] bool recycling_enabled() const { return mode == SystemMode::kCompWF; }
-
-  /// The scheme spec this config selects (ecc_spec, else the legacy enum).
-  [[nodiscard]] std::string resolved_ecc_spec() const {
-    return ecc_spec.empty() ? std::string(canonical_spec(ecc)) : ecc_spec;
-  }
 };
 
 struct SystemStats {

@@ -44,13 +44,6 @@ struct LifetimeCell {
     const std::vector<std::string>& apps, const std::vector<SystemMode>& modes,
     const ExperimentScale& scale, const std::string& ecc_spec = "ecp6");
 
-/// Compat shim for pre-registry callers holding the deprecated EccKind.
-[[nodiscard]] inline std::vector<LifetimeCell> run_lifetime_matrix(
-    const std::vector<std::string>& apps, const std::vector<SystemMode>& modes,
-    const ExperimentScale& scale, EccKind ecc) {
-  return run_lifetime_matrix(apps, modes, scale, std::string(canonical_spec(ecc)));
-}
-
 /// Convenience: the result for (app, mode) in a matrix.
 [[nodiscard]] const LifetimeCell& matrix_cell(const std::vector<LifetimeCell>& cells,
                                               const std::string& app, SystemMode mode);

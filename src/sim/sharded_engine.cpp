@@ -378,7 +378,6 @@ ShardedRunResult ShardedPcmEngine::run(std::uint64_t max_events) {
       fold(s.tier.silent_drops);
       fold(s.tier.inserts);
       fold(s.tier.evictions);
-      fold(s.tier.dedup_shares);
       fold(s.tier.fp_false_hits);
       fold(s.tier.words_forwarded);
       fold(s.tier.words_touched);

@@ -14,7 +14,6 @@ std::string_view to_string(TierPolicy p) {
     case TierPolicy::kLru: return "lru";
     case TierPolicy::kSilent: return "silent";
     case TierPolicy::kComp: return "comp";
-    case TierPolicy::kDedup: return "dedup";
   }
   return "?";
 }
@@ -23,8 +22,7 @@ TierPolicy tier_policy_from_string(std::string_view s) {
   if (s == "lru") return TierPolicy::kLru;
   if (s == "silent") return TierPolicy::kSilent;
   if (s == "comp") return TierPolicy::kComp;
-  if (s == "dedup") return TierPolicy::kDedup;
-  expects(false, "tier policy must be lru, silent, comp, or dedup");
+  expects(false, "tier policy must be lru, silent, or comp");
   return TierPolicy::kLru;  // unreachable
 }
 
@@ -65,10 +63,7 @@ FrontTier::FrontTier(const FrontTierConfig& config, ForwardSink sink)
           "tier capacity must hold at least one full set");
   expects(sink_ != nullptr, "tier needs a forward sink");
   sets_ = config_.capacity_lines / config_.ways;
-  tag_ways_ = config_.policy == TierPolicy::kDedup
-                  ? std::max(config_.dedup_tag_ways, config_.ways)
-                  : config_.ways;
-  tags_.resize(sets_ * tag_ways_);
+  tags_.resize(sets_ * config_.ways);
   payloads_.resize(sets_ * config_.ways);
   if (config_.model_latency) controller_.emplace(config_.controller);
 }
@@ -79,20 +74,17 @@ std::size_t FrontTier::set_of(LineAddr line) const {
   return static_cast<std::size_t>(mix64(line) % sets_);
 }
 
-FrontTier::TagEntry* FrontTier::find(std::size_t set, LineAddr line) {
-  TagEntry* base = tags_.data() + set * tag_ways_;
-  for (std::size_t w = 0; w < tag_ways_; ++w) {
-    if (base[w].valid && base[w].line == line) return base + w;
+std::size_t FrontTier::find(std::size_t set, LineAddr line) const {
+  const TagEntry* base = tags_.data() + set * config_.ways;
+  for (std::size_t w = 0; w < config_.ways; ++w) {
+    if (base[w].valid && base[w].line == line) return w;
   }
-  return nullptr;
-}
-
-const FrontTier::TagEntry* FrontTier::find(std::size_t set, LineAddr line) const {
-  return const_cast<FrontTier*>(this)->find(set, line);
+  return config_.ways;
 }
 
 std::size_t FrontTier::choose_victim(std::size_t set) const {
-  const TagEntry* base = tags_.data() + set * tag_ways_;
+  const std::size_t ways = config_.ways;
+  const TagEntry* base = tags_.data() + set * ways;
   if (config_.policy == TierPolicy::kComp) {
     // Compressibility-aware retention: among the least-recently-used half of
     // the resident entries, evict the one whose payload compresses smallest
@@ -100,40 +92,34 @@ std::size_t FrontTier::choose_victim(std::size_t set) const {
     // lines therefore survive roughly twice as long as plain LRU would keep
     // them, at the same capacity.
     std::vector<std::size_t> valid;
-    valid.reserve(tag_ways_);
-    for (std::size_t w = 0; w < tag_ways_; ++w) {
+    valid.reserve(ways);
+    for (std::size_t w = 0; w < ways; ++w) {
       if (base[w].valid) valid.push_back(w);
     }
     std::sort(valid.begin(), valid.end(),
               [&](std::size_t a, std::size_t b) { return base[a].lru < base[b].lru; });
     const std::size_t half = (valid.size() + 1) / 2;
     std::size_t best = valid[0];
-    const PayloadSlot* slots = payloads_.data() + set * config_.ways;
+    const PayloadSlot* slots = payloads_.data() + set * ways;
     for (std::size_t i = 1; i < half; ++i) {
       const std::size_t w = valid[i];
-      if (slots[base[w].payload].plan_size < slots[base[best].payload].plan_size) best = w;
+      if (slots[w].plan_size < slots[best].plan_size) best = w;
     }
     return best;
   }
-  std::size_t best = tag_ways_;
-  for (std::size_t w = 0; w < tag_ways_; ++w) {
+  std::size_t best = ways;
+  for (std::size_t w = 0; w < ways; ++w) {
     if (!base[w].valid) continue;
-    if (best == tag_ways_ || base[w].lru < base[best].lru) best = w;
+    if (best == ways || base[w].lru < base[best].lru) best = w;
   }
-  ensures(best != tag_ways_, "choose_victim called on an empty set");
+  ensures(best != ways, "choose_victim called on an empty set");
   return best;
 }
 
-void FrontTier::release_payload(std::size_t set, std::uint32_t slot) {
-  PayloadSlot& p = payloads_[set * config_.ways + slot];
-  ensures(p.refs > 0, "payload refcount underflow");
-  if (--p.refs == 0) --payloads_used_;
-}
-
-void FrontTier::evict(std::size_t set, std::size_t idx, bool count_as_flush) {
-  TagEntry& e = tags_[set * tag_ways_ + idx];
+void FrontTier::evict(std::size_t set, std::size_t way, bool count_as_flush) {
+  TagEntry& e = tags_[set * config_.ways + way];
   ensures(e.valid, "evicting an invalid tier entry");
-  const PayloadSlot& p = payloads_[set * config_.ways + e.payload];
+  const PayloadSlot& p = payloads_[set * config_.ways + way];
   Forward fwd;
   fwd.line = e.line;
   fwd.tag = e.tag;
@@ -150,7 +136,6 @@ void FrontTier::evict(std::size_t set, std::size_t idx, bool count_as_flush) {
   } else {
     ++stats_.evictions;
   }
-  release_payload(set, e.payload);
   e.valid = false;
   --resident_;
   pending_.push_back(fwd);
@@ -162,45 +147,6 @@ void FrontTier::drain_forwards() {
   // eviction order.
   for (const Forward& fwd : pending_) sink_(fwd);
   pending_.clear();
-}
-
-FrontTier::SlotClaim FrontTier::claim_payload(std::size_t set, const Block& data,
-                                              std::uint64_t fp, std::uint8_t plan_size,
-                                              const TagEntry* keep) {
-  PayloadSlot* slots = payloads_.data() + set * config_.ways;
-  if (config_.policy == TierPolicy::kDedup) {
-    for (std::size_t s = 0; s < config_.ways; ++s) {
-      if (slots[s].refs == 0 || slots[s].fp != fp) continue;
-      if (std::memcmp(slots[s].data.data(), data.data(), kBlockBytes) == 0) {
-        ++slots[s].refs;
-        ++stats_.dedup_shares;
-        return SlotClaim{static_cast<std::uint32_t>(s), true};
-      }
-      ++stats_.fp_false_hits;
-    }
-  }
-  for (;;) {
-    for (std::size_t s = 0; s < config_.ways; ++s) {
-      if (slots[s].refs != 0) continue;
-      slots[s].data = data;
-      slots[s].fp = fp;
-      slots[s].plan_size = plan_size;
-      slots[s].refs = 1;
-      ++payloads_used_;
-      return SlotClaim{static_cast<std::uint32_t>(s), false};
-    }
-    // Every payload slot is referenced (possible only under kDedup's tag
-    // over-provisioning): evict LRU entries — never the one being updated —
-    // until a slot frees.
-    const TagEntry* base = tags_.data() + set * tag_ways_;
-    std::size_t victim = tag_ways_;
-    for (std::size_t w = 0; w < tag_ways_; ++w) {
-      if (!base[w].valid || base + w == keep) continue;
-      if (victim == tag_ways_ || base[w].lru < base[victim].lru) victim = w;
-    }
-    ensures(victim != tag_ways_, "tier payload slots exhausted with no evictable entry");
-    evict(set, victim);
-  }
 }
 
 void FrontTier::charge_latency(std::uint64_t order) {
@@ -253,34 +199,27 @@ FrontTier::Outcome FrontTier::put_impl(std::uint64_t order, LineAddr line, const
 
 FrontTier::Outcome FrontTier::filter(LineAddr line, const Block& data, std::uint32_t tag) {
   const std::size_t set = set_of(line);
-  if (TagEntry* e = find(set, line)) {
+  const std::size_t row = set * config_.ways;
+  if (const std::size_t way = find(set, line); way != config_.ways) {
     // Hit: the write-back coalesces in DRAM. Content-aware policies compare
     // payloads first so byte-identical rewrites don't even touch the stored
     // copy (and are reported as silent hits).
     ++stats_.hits;
-    e->lru = ++tick_;
-    e->tag = tag;
-    PayloadSlot& old = payloads_[set * config_.ways + e->payload];
+    TagEntry& e = tags_[row + way];
+    e.lru = ++tick_;
+    e.tag = tag;
+    PayloadSlot& old = payloads_[row + way];
     if (content_aware()) {
       const std::uint64_t fp = fingerprint(data);
       if (old.fp == fp && std::memcmp(old.data.data(), data.data(), kBlockBytes) == 0) {
         ++stats_.silent_hits;
         return Outcome::kSilentHit;
       }
-      e->touched = static_cast<std::uint16_t>(e->touched | touched_words(old.data, data));
-      const std::uint8_t psize = probe_plan_size(data);
-      if (config_.policy == TierPolicy::kDedup) {
-        release_payload(set, e->payload);
-        const SlotClaim claim = claim_payload(set, data, fp, psize, e);
-        e->payload = claim.slot;
-      } else {
-        old.data = data;
-        old.fp = fp;
-        old.plan_size = psize;
-      }
-    } else {
-      old.data = data;
+      e.touched = static_cast<std::uint16_t>(e.touched | touched_words(old.data, data));
+      old.fp = fp;
+      old.plan_size = probe_plan_size(data);
     }
+    old.data = data;
     return Outcome::kHit;
   }
 
@@ -305,27 +244,21 @@ FrontTier::Outcome FrontTier::filter(LineAddr line, const Block& data, std::uint
     }
   }
 
-  // Miss: allocate a tag entry (evicting the policy victim when the set is
-  // full), then attach a payload (shared under kDedup when an identical one
-  // is already resident).
-  TagEntry* base = tags_.data() + set * tag_ways_;
-  std::size_t idx = tag_ways_;
-  for (std::size_t w = 0; w < tag_ways_; ++w) {
-    if (!base[w].valid) {
-      idx = w;
-      break;
-    }
+  // Miss: take the first free way, evicting the policy victim when the set
+  // is full.
+  std::size_t way = 0;
+  while (way < config_.ways && tags_[row + way].valid) ++way;
+  if (way == config_.ways) {
+    way = choose_victim(set);
+    evict(set, way);
   }
-  if (idx == tag_ways_) {
-    idx = choose_victim(set);
-    evict(set, idx);
-  }
-  const std::uint8_t psize = content_aware() ? probe_plan_size(data) : kBlockBytes;
-  const SlotClaim claim = claim_payload(set, data, fp, psize, nullptr);
-  TagEntry& e = tags_[set * tag_ways_ + idx];
+  PayloadSlot& p = payloads_[row + way];
+  p.data = data;
+  p.fp = fp;
+  p.plan_size = content_aware() ? probe_plan_size(data) : kBlockBytes;
+  TagEntry& e = tags_[row + way];
   e.line = line;
   e.valid = true;
-  e.payload = claim.slot;
   e.tag = tag;
   e.lru = ++tick_;
   e.touched = touched;
@@ -336,8 +269,8 @@ FrontTier::Outcome FrontTier::filter(LineAddr line, const Block& data, std::uint
 
 void FrontTier::flush() {
   for (std::size_t set = 0; set < sets_; ++set) {
-    for (std::size_t w = 0; w < tag_ways_; ++w) {
-      if (tags_[set * tag_ways_ + w].valid) evict(set, w, /*count_as_flush=*/true);
+    for (std::size_t w = 0; w < config_.ways; ++w) {
+      if (tags_[set * config_.ways + w].valid) evict(set, w, /*count_as_flush=*/true);
     }
   }
   drain_forwards();
@@ -345,14 +278,14 @@ void FrontTier::flush() {
 
 std::optional<FrontTier::Forward> FrontTier::invalidate(LineAddr line) {
   const std::size_t set = set_of(line);
-  TagEntry* e = find(set, line);
-  if (e == nullptr) return std::nullopt;
+  const std::size_t way = find(set, line);
+  if (way == config_.ways) return std::nullopt;
+  TagEntry& e = tags_[set * config_.ways + way];
   Forward fwd;
-  fwd.line = e->line;
-  fwd.tag = e->tag;
-  fwd.data = payloads_[set * config_.ways + e->payload].data;
-  release_payload(set, e->payload);
-  e->valid = false;
+  fwd.line = e.line;
+  fwd.tag = e.tag;
+  fwd.data = payloads_[set * config_.ways + way].data;
+  e.valid = false;
   --resident_;
   ++stats_.invalidates;
   return fwd;
@@ -366,14 +299,14 @@ void FrontTier::finish_timing() {
 }
 
 bool FrontTier::contains(LineAddr line) const {
-  return find(set_of(line), line) != nullptr;
+  return find(set_of(line), line) != config_.ways;
 }
 
 const Block* FrontTier::peek(LineAddr line) const {
   const std::size_t set = set_of(line);
-  const TagEntry* e = find(set, line);
-  if (e == nullptr) return nullptr;
-  return &payloads_[set * config_.ways + e->payload].data;
+  const std::size_t way = find(set, line);
+  if (way == config_.ways) return nullptr;
+  return &payloads_[set * config_.ways + way].data;
 }
 
 const Block* FrontTier::pcm_resident(LineAddr line) const {

@@ -1,11 +1,9 @@
 // Content-aware DRAM front tier: a set-associative write-back buffer that
-// absorbs LLC write-back traffic before it reaches PCM (ROADMAP item 4).
+// absorbs LLC write-back traffic before it reaches PCM.
 //
 // Every production PCM deployment fronts the array with a DRAM/eDRAM
-// write-back tier; CARAM showed that making that tier *content-aware* —
-// deduplicating and coalescing write-backs by payload — multiplies PCM
-// lifetime beyond what raw buffering gives. FrontTier models that tier as a
-// sets x ways buffer of full 64-byte payloads with pluggable policies:
+// write-back tier. FrontTier models that tier as a sets x ways buffer of full
+// 64-byte payloads with pluggable policies:
 //
 //   * kLru    — plain LRU write-back buffer; the content-blind control.
 //               Absorption comes only from write coalescing on tier hits.
@@ -21,19 +19,12 @@
 //               set by *smallest compressed-size probe first*, so
 //               poorly-compressible lines — the ones that burn the most PCM
 //               flips and energy per write-back — stay in DRAM longer.
-//   * kDedup  — silent elimination plus CARAM-style payload deduplication:
-//               within a set, entries whose payloads are byte-identical
-//               share one payload slot (fingerprint-indexed, refcounted).
-//               The tag array is over-provisioned (dedup_tag_ways >= ways)
-//               while the payload budget — the DRAM bytes — stays equal to
-//               the other policies, so dedup turns content redundancy into
-//               effective capacity.
 //
 // The tier charges DRAM write-hit latency through its own MemoryController
 // instance (a second controller next to the PCM one), so runs report modeled
 // latency alongside lifetime amplification. Everything is deterministic:
-// the structure is driven synchronously by put(), victim choice and payload
-// allocation scan in fixed order, and no RNG is involved.
+// the structure is driven synchronously by put(), victim choice scans in
+// fixed order, and no RNG is involved.
 #pragma once
 
 #include <cstdint>
@@ -54,12 +45,11 @@ enum class TierPolicy : std::uint8_t {
   kLru,     ///< plain LRU write-back buffer (control)
   kSilent,  ///< + silent/partial-store elimination against the PCM copy
   kComp,    ///< + compressibility-aware retention (evict compressible first)
-  kDedup,   ///< + per-set payload dedup with over-provisioned tags
 };
 
 [[nodiscard]] std::string_view to_string(TierPolicy p);
-/// Parses "lru" / "silent" / "comp" / "dedup"; throws ContractViolation on
-/// anything else.
+/// Parses "lru" / "silent" / "comp"; throws ContractViolation (naming the
+/// valid set) on anything else.
 [[nodiscard]] TierPolicy tier_policy_from_string(std::string_view s);
 
 /// DDR3-DRAM-flavoured controller timings for the tier (same 400 MHz command
@@ -72,12 +62,8 @@ struct FrontTierConfig {
   /// embedded (run_lifetime, the sharded engine) — the default, so every
   /// pinned checksum predates of the tier is unchanged.
   std::size_t capacity_lines = 0;
-  std::size_t ways = 8;  ///< payload slots per set (set-associativity)
+  std::size_t ways = 8;  ///< lines per set (set-associativity)
   TierPolicy policy = TierPolicy::kLru;
-  /// Tag entries per set under kDedup (>= ways). Tags are ~8 bytes against
-  /// 64-byte payloads, so over-provisioning them is how dedup converts
-  /// payload sharing into extra resident lines at equal DRAM capacity.
-  std::size_t dedup_tag_ways = 16;
   /// Model DRAM write latency through an embedded MemoryController.
   bool model_latency = true;
   ControllerConfig controller = dram_tier_controller_config();
@@ -102,7 +88,6 @@ struct FrontTierStats {
   std::uint64_t evictions = 0;     ///< victims forwarded to PCM
   std::uint64_t flushes = 0;       ///< lines forwarded by flush()
   std::uint64_t invalidates = 0;   ///< lines removed by invalidate()
-  std::uint64_t dedup_shares = 0;  ///< inserts/updates that shared a payload
   std::uint64_t fp_false_hits = 0; ///< fingerprint matched, bytes differed
   /// Partial-store shrink accounting: of the 16 u32 words in every forwarded
   /// line, how many were actually touched since the PCM-resident copy (only
@@ -124,7 +109,6 @@ struct FrontTierStats {
     evictions += other.evictions;
     flushes += other.flushes;
     invalidates += other.invalidates;
-    dedup_shares += other.dedup_shares;
     fp_false_hits += other.fp_false_hits;
     words_forwarded += other.words_forwarded;
     words_touched += other.words_touched;
@@ -161,13 +145,12 @@ class FrontTier {
   Outcome put_at(std::uint64_t order, LineAddr line, const Block& data,
                  std::uint32_t tag = 0);
 
-  /// Forwards every resident line to the sink (set order, then tag-way
-  /// order) and empties the tier.
+  /// Forwards every resident line to the sink (set order, then way order)
+  /// and empties the tier.
   void flush();
 
   /// Removes `line` if resident, returning its content without forwarding
-  /// (back-invalidation). Dedup refcounts are released exactly as eviction
-  /// does.
+  /// (back-invalidation). The way is freed as eviction frees it.
   std::optional<Forward> invalidate(LineAddr line);
 
   /// Seals the embedded latency model; call before reading controller().
@@ -185,24 +168,23 @@ class FrontTier {
   [[nodiscard]] bool contains(LineAddr line) const;
   [[nodiscard]] const Block* peek(LineAddr line) const;
   [[nodiscard]] std::size_t sets() const { return sets_; }
-  [[nodiscard]] std::size_t tag_ways() const { return tag_ways_; }
-  [[nodiscard]] std::size_t payload_ways() const { return config_.ways; }
   [[nodiscard]] std::size_t resident_lines() const { return resident_; }
-  [[nodiscard]] std::size_t unique_payloads() const { return payloads_used_; }
   /// The tier's view of the PCM-resident content of `line` (what it last
   /// forwarded), if any. The silent-store differential test compares this
   /// against a filterless reference model.
   [[nodiscard]] const Block* pcm_resident(LineAddr line) const;
 
-  /// Content fingerprint used for silent-store candidacy and dedup indexing;
-  /// exposed so tests can construct colliding/matching payloads.
+  /// Content fingerprint used for silent-store candidacy; exposed so tests can
+  /// construct colliding/matching payloads.
   [[nodiscard]] static std::uint64_t fingerprint(const Block& data);
 
  private:
+  /// Per-way tag state, scanned by find(). Kept apart from the 64-byte
+  /// payloads so a lookup walks one compact array; way w of a set owns
+  /// payload slot w of the same set.
   struct TagEntry {
     LineAddr line = 0;
     bool valid = false;
-    std::uint32_t payload = 0;   ///< payload slot index within the set
     std::uint32_t tag = 0;       ///< caller id (tenant) of the last writer
     std::uint64_t lru = 0;       ///< global tick; larger = more recent
     std::uint16_t touched = 0;   ///< u32-word mask touched since PCM copy
@@ -211,7 +193,6 @@ class FrontTier {
     Block data{};
     std::uint64_t fp = 0;
     std::uint8_t plan_size = kBlockBytes;  ///< compressed-size probe
-    std::uint16_t refs = 0;                ///< sharing entries (kDedup > 1)
   };
   struct ResidentLine {
     std::uint64_t fp = 0;
@@ -219,23 +200,13 @@ class FrontTier {
   };
 
   [[nodiscard]] std::size_t set_of(LineAddr line) const;
-  [[nodiscard]] TagEntry* find(std::size_t set, LineAddr line);
-  [[nodiscard]] const TagEntry* find(std::size_t set, LineAddr line) const;
+  /// Way index of `line` within `set`, or config_.ways when absent.
+  [[nodiscard]] std::size_t find(std::size_t set, LineAddr line) const;
   /// Policy victim among the valid entries of `set`; never called on an
   /// empty set.
   [[nodiscard]] std::size_t choose_victim(std::size_t set) const;
-  /// Forwards entry `idx` of `set` to the sink and frees it (refcounted).
-  void evict(std::size_t set, std::size_t idx, bool count_as_flush = false);
-  void release_payload(std::size_t set, std::uint32_t slot);
-  /// Finds a shareable payload slot (kDedup) or claims a free one, evicting
-  /// LRU entries (skipping `keep`) until one frees. Returns the slot index
-  /// and whether it was shared.
-  struct SlotClaim {
-    std::uint32_t slot = 0;
-    bool shared = false;
-  };
-  SlotClaim claim_payload(std::size_t set, const Block& data, std::uint64_t fp,
-                          std::uint8_t plan_size, const TagEntry* keep);
+  /// Forwards way `way` of `set` to the sink and frees it.
+  void evict(std::size_t set, std::size_t way, bool count_as_flush = false);
   void charge_latency(std::uint64_t order);
   [[nodiscard]] std::uint16_t touched_words(const Block& before, const Block& after) const;
   [[nodiscard]] std::uint8_t probe_plan_size(const Block& data) const;
@@ -252,9 +223,8 @@ class FrontTier {
   FrontTierConfig config_;
   ForwardSink sink_;
   std::size_t sets_ = 0;
-  std::size_t tag_ways_ = 0;
-  std::vector<TagEntry> tags_;        ///< sets_ x tag_ways_, row-major
-  std::vector<PayloadSlot> payloads_; ///< sets_ x config_.ways, row-major
+  std::vector<TagEntry> tags_;        ///< sets_ x config_.ways, row-major
+  std::vector<PayloadSlot> payloads_; ///< parallel to tags_
   std::unordered_map<LineAddr, ResidentLine> pcm_resident_;
   std::vector<Forward> pending_;  ///< evictions awaiting the sink
   BestOfCompressor compressor_;
@@ -264,7 +234,6 @@ class FrontTier {
   std::uint64_t last_order_ = 0; ///< last arrival order charged
   bool sealed_ = false;          ///< finish_timing() ran
   std::size_t resident_ = 0;
-  std::size_t payloads_used_ = 0;
 };
 
 }  // namespace pcmsim

@@ -18,8 +18,9 @@
 // Zipf alias table draws from the same popularity pmf; shape redraws use the
 // same per-rewrite probability. Only the RNG consumption order differs, so
 // the two sources are statistically equivalent (asserted by
-// tests/trace_sampler_test.cpp) but not bit-identical streams — figure
-// benches that pin stdout keep GeneratorTraceSource.
+// tests/trace_sampler_test.cpp) but not bit-identical streams. Every figure
+// bench and pinned checksum runs on this source; GeneratorTraceSource stays
+// only as the calibration oracle and behind `--source legacy`.
 #pragma once
 
 #include <span>

@@ -84,17 +84,6 @@ TEST(Registry, MalformedOrOutOfRangeSpecsAreRejected) {
   }
 }
 
-TEST(Registry, LegacyEccKindMapsOntoCanonicalSpecs) {
-  EXPECT_EQ(canonical_spec(EccKind::kEcp6), "ecp6");
-  EXPECT_EQ(canonical_spec(EccKind::kSafer32), "safer32");
-  EXPECT_EQ(canonical_spec(EccKind::kAegis17x31), "aegis17x31");
-  EXPECT_EQ(canonical_spec(EccKind::kSecded), "secded");
-  for (const auto kind : {EccKind::kEcp6, EccKind::kSafer32, EccKind::kAegis17x31,
-                          EccKind::kSecded}) {
-    EXPECT_EQ(make_scheme(kind)->name(), make_scheme(canonical_spec(kind))->name());
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Cross-registry property: up to guaranteed_correctable() faults, encode must
 // succeed and the data must survive the stuck cells bit-exactly; past the

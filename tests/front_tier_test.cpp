@@ -1,11 +1,12 @@
 // Front-tier suite: policy-ordered victim choice, silent-store elimination
-// correctness against a filterless reference, dedup refcount safety across
-// eviction/invalidation/flush, the tier's accounting identities, thread-count
-// determinism of the tiered sharded engine, and the cache -> tier -> PCM
-// plumb through the writeback_sink adapters.
+// correctness against a filterless reference, way bookkeeping across
+// eviction/invalidation/flush, the tier's accounting identities under every
+// policy, thread-count determinism of the tiered sharded engine, and the
+// cache -> tier -> PCM plumb through the writeback_sink adapters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -155,49 +156,50 @@ TEST(FrontTier, SilentStoreEliminationMatchesFilterlessReference) {
   }
 }
 
-TEST(FrontTier, DedupSharesPayloadsAndSurvivesInvalidateAndEviction) {
-  FrontTierConfig cfg = one_set(4, TierPolicy::kDedup);
-  cfg.dedup_tag_ways = 8;
+TEST(FrontTier, InvalidateReturnsContentAndFreesTheWay) {
   std::vector<FrontTier::Forward> out;
-  FrontTier tier(cfg, [&](const FrontTier::Forward& f) { out.push_back(f); });
+  FrontTier tier(one_set(4, TierPolicy::kSilent),
+                 [&](const FrontTier::Forward& f) { out.push_back(f); });
 
-  // Six lines, one payload: the tag over-provisioning holds all six resident
-  // on a single shared payload slot.
+  // Four lines, one payload: every line owns its own way and its own copy.
   const Block shared = filled(0xAB);
-  for (LineAddr line = 1; line <= 6; ++line) {
+  for (LineAddr line = 1; line <= 4; ++line) {
     EXPECT_EQ(tier.put(line, shared), FrontTier::Outcome::kInserted);
   }
-  EXPECT_EQ(tier.resident_lines(), 6u);
-  EXPECT_EQ(tier.unique_payloads(), 1u);
-  EXPECT_EQ(tier.stats().dedup_shares, 5u);
+  EXPECT_EQ(tier.resident_lines(), 4u);
   EXPECT_TRUE(out.empty());
 
-  // Removing one sharer must not disturb the others' payload.
+  // Invalidation hands back the content without forwarding it, and leaves the
+  // other lines' payloads untouched.
   const auto inv = tier.invalidate(3);
   ASSERT_TRUE(inv.has_value());
+  EXPECT_EQ(inv->line, 3u);
   EXPECT_EQ(inv->data, shared);
-  EXPECT_EQ(tier.resident_lines(), 5u);
-  EXPECT_EQ(tier.unique_payloads(), 1u);
+  EXPECT_FALSE(tier.invalidate(3).has_value());
+  EXPECT_FALSE(tier.contains(3));
+  EXPECT_EQ(tier.resident_lines(), 3u);
+  EXPECT_TRUE(out.empty());
   ASSERT_NE(tier.peek(1), nullptr);
   EXPECT_EQ(*tier.peek(1), shared);
 
-  // Rewriting a sharer with distinct content re-claims a fresh slot and
-  // releases its share; the remaining sharers keep the original bytes.
+  // Rewriting one line with distinct content changes only that line.
   const Block distinct = random_block(17);
   EXPECT_EQ(tier.put(1, distinct), FrontTier::Outcome::kHit);
-  EXPECT_EQ(tier.unique_payloads(), 2u);
-  ASSERT_NE(tier.peek(2), nullptr);
-  EXPECT_EQ(*tier.peek(2), shared);
   ASSERT_NE(tier.peek(1), nullptr);
   EXPECT_EQ(*tier.peek(1), distinct);
+  ASSERT_NE(tier.peek(2), nullptr);
+  EXPECT_EQ(*tier.peek(2), shared);
 
-  // Exhaust the payload slots with distinct content: claim_payload must evict
-  // LRU sharers to free slots rather than corrupt refcounts (the ensures
-  // guards in release_payload would fire on any miscount).
-  for (LineAddr line = 10; line < 14; ++line) {
-    (void)tier.put(line, random_block(line));
-  }
-  EXPECT_LE(tier.unique_payloads(), tier.payload_ways());
+  // The freed way is reused before anything is evicted; the next insert
+  // after that evicts the LRU line (2) with its own bytes.
+  EXPECT_EQ(tier.put(10, random_block(10)), FrontTier::Outcome::kInserted);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(tier.resident_lines(), 4u);
+  EXPECT_EQ(tier.put(11, random_block(11)), FrontTier::Outcome::kInserted);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].line, 2u);
+  EXPECT_EQ(out[0].data, shared);
+  EXPECT_EQ(tier.resident_lines(), 4u);
 
   // Flush forwards everything that is left exactly once and empties the tier.
   const std::size_t resident = tier.resident_lines();
@@ -205,8 +207,8 @@ TEST(FrontTier, DedupSharesPayloadsAndSurvivesInvalidateAndEviction) {
   tier.flush();
   EXPECT_EQ(out.size(), forwarded_before + resident);
   EXPECT_EQ(tier.resident_lines(), 0u);
-  EXPECT_EQ(tier.unique_payloads(), 0u);
   EXPECT_EQ(tier.stats().flushes, resident);
+  EXPECT_EQ(tier.stats().invalidates, 1u);
 }
 
 TEST(FrontTier, SilentRewritesAreAbsorbedWithoutForwarding) {
@@ -231,25 +233,35 @@ TEST(FrontTier, SilentRewritesAreAbsorbedWithoutForwarding) {
 TEST(FrontTier, AccountingIdentitiesHold) {
   // offered = hits + silent_drops + inserts, and every allocated entry is
   // still resident or left through exactly one of eviction/flush/invalidate.
-  FrontTierConfig cfg;
-  cfg.capacity_lines = 16;
-  cfg.ways = 4;
-  cfg.policy = TierPolicy::kComp;
-  cfg.model_latency = false;
-  std::uint64_t forwards = 0;
-  FrontTier tier(cfg, [&](const FrontTier::Forward&) { ++forwards; });
-  for (std::uint64_t i = 0; i < 3000; ++i) {
-    (void)tier.put(mix64(3, i) % 64, filled(static_cast<std::uint8_t>(mix64(5, i) % 5)));
-    if (i % 97 == 0) (void)tier.invalidate(mix64(3, i / 2) % 64);
+  for (const TierPolicy policy : {TierPolicy::kLru, TierPolicy::kSilent, TierPolicy::kComp}) {
+    SCOPED_TRACE(to_string(policy));
+    FrontTierConfig cfg;
+    cfg.capacity_lines = 16;
+    cfg.ways = 4;
+    cfg.policy = policy;
+    cfg.model_latency = false;
+    std::uint64_t forwards = 0;
+    FrontTier tier(cfg, [&](const FrontTier::Forward&) { ++forwards; });
+    for (std::uint64_t i = 0; i < 3000; ++i) {
+      (void)tier.put(mix64(3, i) % 64, filled(static_cast<std::uint8_t>(mix64(5, i) % 5)));
+      if (i % 97 == 0) (void)tier.invalidate(mix64(3, i / 2) % 64);
+    }
+    const FrontTierStats& st = tier.stats();
+    EXPECT_EQ(st.offered, st.hits + st.silent_drops + st.inserts);
+    EXPECT_EQ(st.inserts,
+              st.evictions + st.flushes + st.invalidates + tier.resident_lines());
+    EXPECT_EQ(forwards, st.evictions + st.flushes);
+    EXPECT_LE(st.silent_hits, st.hits);
+    EXPECT_LE(st.words_touched, st.words_forwarded);
+    EXPECT_GT(st.words_forwarded, 0u);
+    EXPECT_GT(st.evictions, 0u);
+    EXPECT_GT(st.invalidates, 0u);
+    if (policy == TierPolicy::kLru) {
+      // The content-blind control never drops or shrinks anything.
+      EXPECT_EQ(st.silent_drops, 0u);
+      EXPECT_EQ(st.words_touched, st.words_forwarded);
+    }
   }
-  const FrontTierStats& st = tier.stats();
-  EXPECT_EQ(st.offered, st.hits + st.silent_drops + st.inserts);
-  EXPECT_EQ(st.inserts,
-            st.evictions + st.flushes + st.invalidates + tier.resident_lines());
-  EXPECT_EQ(forwards, st.evictions + st.flushes);
-  EXPECT_LE(st.silent_hits, st.hits);
-  EXPECT_LE(st.words_touched, st.words_forwarded);
-  EXPECT_GT(st.words_forwarded, 0u);
 }
 
 TEST(FrontTier, TieredLifetimeIsDeterministicAndAmplifies) {
@@ -292,7 +304,7 @@ TEST(FrontTier, ShardedEngineWithTierDeterministicAcrossThreads) {
   cfg.seed = 7;
   cfg.queue_capacity = 256;  // several epochs, so dispatch/execute overlap runs
   cfg.tenant_batch = 64;
-  cfg.tier = FrontTierConfig::for_kb(8, TierPolicy::kDedup);
+  cfg.tier = FrontTierConfig::for_kb(8, TierPolicy::kSilent);
 
   std::uint64_t reference = 0;
   std::uint64_t reference_absorbed = 0;
@@ -343,6 +355,18 @@ TEST(FrontTier, ConfigContractsAreEnforced) {
   cfg.capacity_lines = 1;
   cfg.ways = 4;
   EXPECT_THROW(FrontTier(cfg, [](const FrontTier::Forward&) {}), ContractViolation);
+
+  // Policy names outside lru/silent/comp (such as dedup) are rejected with a
+  // message naming the valid set.
+  EXPECT_EQ(tier_policy_from_string("comp"), TierPolicy::kComp);
+  for (const char* bad : {"dedup", "", "LRU", "random"}) {
+    EXPECT_THROW((void)tier_policy_from_string(bad), ContractViolation) << bad;
+  }
+  try {
+    (void)tier_policy_from_string("dedup");
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("lru, silent, or comp"), std::string::npos);
+  }
 
   // put_at arrival order is a contract, matching the controller's.
   FrontTier tier(one_set(2, TierPolicy::kLru), [](const FrontTier::Forward&) {});

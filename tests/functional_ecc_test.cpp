@@ -118,12 +118,18 @@ TEST(FunctionalEcc, CosetWithoutCompressionIsRejected) {
   EXPECT_THROW(PcmSystem sys(cfg), ContractViolation);
 }
 
-TEST(FunctionalEcc, LegacyEccKindStillSelectsTheSameScheme) {
+TEST(FunctionalEcc, SpecStringIsTheOnlySelector) {
   SystemConfig cfg;
-  cfg.ecc = EccKind::kSafer32;  // deprecated enum path, no spec set
-  EXPECT_EQ(cfg.resolved_ecc_spec(), "safer32");
-  cfg.ecc_spec = "bch-t2";  // a non-empty spec wins over the enum
-  EXPECT_EQ(cfg.resolved_ecc_spec(), "bch-t2");
+  cfg.device.lines = 8;
+  EXPECT_EQ(cfg.ecc_spec, "ecp6");  // the paper's default scheme
+  EXPECT_EQ(PcmSystem(cfg).scheme().name(), make_scheme("ecp6")->name());
+  cfg.ecc_spec = "bch-t2";
+  EXPECT_EQ(PcmSystem(cfg).scheme().name(), make_scheme("bch-t2")->name());
+  // An empty or unknown spec fails loudly instead of falling back.
+  for (const char* bad : {"", "ECP6", "ecp13"}) {
+    cfg.ecc_spec = bad;
+    EXPECT_THROW(PcmSystem sys(cfg), ContractViolation) << bad;
+  }
 }
 
 }  // namespace

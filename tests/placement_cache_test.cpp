@@ -96,7 +96,7 @@ TEST(PlacementCache, CoherentUnderInjectedFaults) {
   cfg.endurance_mean = 1e4;
   cfg.seed = 5;
   PcmArray array(cfg);
-  const auto scheme = make_scheme(EccKind::kEcp6);
+  const auto scheme = make_scheme("ecp6");
   const WindowPlacer placer(*scheme);
 
   Rng driver(404);
@@ -127,7 +127,7 @@ TEST(PlacementCache, CoherentUnderWearOutBirthsAndGapMoves) {
   cfg.device.seed = 9;
   cfg.seed = 9;
   PcmSystem system(cfg);
-  const auto scheme = make_scheme(EccKind::kEcp6);
+  const auto scheme = make_scheme("ecp6");
   const WindowPlacer placer(*scheme);
 
   Rng driver(505);
@@ -161,7 +161,7 @@ TEST(PlacementCache, SlideUpRejectsOverhangEvenOnCleanLines) {
   cfg.lines = 1;
   cfg.seed = 2;
   PcmArray array(cfg);
-  const auto scheme = make_scheme(EccKind::kEcp6);
+  const auto scheme = make_scheme("ecp6");
   const WindowPlacer placer(*scheme);
   EXPECT_EQ(placer.find(array, 0, 32, 40, SlidePolicy::kSlideUp), std::nullopt);
   EXPECT_EQ(placer.find(array, 0, 32, 32, SlidePolicy::kSlideUp), std::optional<std::uint8_t>{32});
