@@ -54,10 +54,7 @@ struct Job {
   TierPolicy policy = TierPolicy::kLru;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int run(const CliArgs& args) {
   const std::size_t threads = set_threads_from_cli(args);
   if (args.get_bool("profile")) prof::set_enabled(true);
 
@@ -178,3 +175,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return cli_main(argc, argv, run); }

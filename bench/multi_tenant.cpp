@@ -44,10 +44,7 @@ std::vector<AppProfile> parse_apps(const std::string& csv) {
   return apps;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int run(const CliArgs& args) {
   const std::size_t threads = set_threads_from_cli(args);
 
   const auto tenants = static_cast<std::uint32_t>(args.get_int("tenants", 16));
@@ -171,3 +168,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return cli_main(argc, argv, run); }

@@ -140,10 +140,7 @@ int run_multi_tenant(const CliArgs& args) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int run(const CliArgs& args) {
   set_threads_from_cli(args);
   if (args.has("tenants") || args.has("shards")) return run_multi_tenant(args);
   if (args.get_bool("profile")) prof::set_enabled(true);
@@ -273,3 +270,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return cli_main(argc, argv, run); }

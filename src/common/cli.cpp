@@ -1,6 +1,9 @@
 #include "common/cli.hpp"
 
+#include <iostream>
 #include <stdexcept>
+
+#include "common/assert.hpp"
 
 namespace pcmsim {
 
@@ -47,6 +50,24 @@ std::int64_t CliArgs::get_int(const std::string& key, std::int64_t dflt) const {
 double CliArgs::get_double(const std::string& key, double dflt) const {
   const auto it = kv_.find(key);
   return it == kv_.end() ? dflt : std::stod(it->second);
+}
+
+int cli_main(int argc, const char* const* argv,
+             const std::function<int(const CliArgs&)>& body) {
+  const std::string program = argc > 0 ? argv[0] : "pcmsim";
+  const auto fail = [&program](const std::exception& e) {
+    std::cerr << program << ": " << e.what() << "\n";
+    return 2;
+  };
+  try {
+    return body(CliArgs(argc, argv));
+  } catch (const ContractViolation& e) {
+    return fail(e);
+  } catch (const std::invalid_argument& e) {
+    return fail(e);
+  } catch (const std::out_of_range& e) {
+    return fail(e);
+  }
 }
 
 bool CliArgs::get_bool(const std::string& key, bool dflt) const {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 
@@ -28,5 +29,12 @@ class CliArgs {
   std::string program_;
   std::map<std::string, std::string> kv_;
 };
+
+/// Runs a binary's `body` on its parsed arguments and returns its exit code.
+/// Malformed input (a bad flag, number, policy name or ECC spec) surfaces as
+/// ContractViolation, std::invalid_argument or std::out_of_range; those
+/// print `<program>: <message>` on stderr and return 2 instead of aborting.
+int cli_main(int argc, const char* const* argv,
+             const std::function<int(const CliArgs&)>& body);
 
 }  // namespace pcmsim

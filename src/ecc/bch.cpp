@@ -38,7 +38,9 @@ std::uint64_t BchScheme::syndromes(std::span<const std::uint8_t> data,
     }
     for (std::size_t k = 0; k < t_; ++k) {
       exponent[k] = static_cast<std::uint16_t>(exponent[k] + 2 * k + 1);
-      if (exponent[k] >= kFieldOrder) exponent[k] -= kFieldOrder;
+      if (exponent[k] >= kFieldOrder) {
+        exponent[k] = static_cast<std::uint16_t>(exponent[k] - kFieldOrder);
+      }
     }
   }
   std::uint64_t packed = 0;

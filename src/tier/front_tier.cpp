@@ -1,7 +1,8 @@
 #include "tier/front_tier.hpp"
 
-#include <algorithm>
+#include <bit>
 #include <cstring>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/profiler.hpp"
@@ -90,21 +91,25 @@ std::size_t FrontTier::choose_victim(std::size_t set) const {
     // the resident entries, evict the one whose payload compresses smallest
     // (cheapest to rewrite in PCM); ties go to the older entry. Incompressible
     // lines therefore survive roughly twice as long as plain LRU would keep
-    // them, at the same capacity.
-    std::vector<std::size_t> valid;
-    valid.reserve(ways);
-    for (std::size_t w = 0; w < ways; ++w) {
-      if (base[w].valid) valid.push_back(w);
-    }
-    std::sort(valid.begin(), valid.end(),
-              [&](std::size_t a, std::size_t b) { return base[a].lru < base[b].lru; });
-    const std::size_t half = (valid.size() + 1) / 2;
-    std::size_t best = valid[0];
+    // them, at the same capacity. Since lru ticks are unique, that victim is
+    // the minimum (plan_size, lru) among ways with fewer than `half` older
+    // valid ways; the scan ranks only ways that would beat the current best,
+    // so it needs no sorted copy of the set.
     const PayloadSlot* slots = payloads_.data() + set * ways;
-    for (std::size_t i = 1; i < half; ++i) {
-      const std::size_t w = valid[i];
-      if (slots[w].plan_size < slots[best].plan_size) best = w;
+    std::size_t valid = 0;
+    for (std::size_t w = 0; w < ways; ++w) valid += base[w].valid ? 1 : 0;
+    const std::size_t half = (valid + 1) / 2;
+    const auto key = [&](std::size_t w) { return std::pair{slots[w].plan_size, base[w].lru}; };
+    std::size_t best = ways;
+    for (std::size_t w = 0; w < ways; ++w) {
+      if (!base[w].valid || (best != ways && key(best) < key(w))) continue;
+      std::size_t older = 0;
+      for (std::size_t u = 0; u < ways; ++u) {
+        older += (base[u].valid && base[u].lru < base[w].lru) ? 1 : 0;
+      }
+      if (older < half) best = w;
     }
+    ensures(best != ways, "choose_victim called on an empty set");
     return best;
   }
   std::size_t best = ways;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cmath>
 #include <cstring>
 
 #include "common/assert.hpp"
@@ -19,56 +18,21 @@ SampledTraceSource::SampledTraceSource(const AppProfile& app, std::uint64_t regi
       seed_(seed),
       rank_rng_(mix64(seed ^ 0x7ac3ull)),
       state_rng_(mix64(seed ^ 0x51a7e5ull)),
-      classes_(app_, seed) {
+      classes_(app_, seed),
+      alias_table_(ZipfAliasTable::shared(app_.working_set_lines, app_.zipf_theta)),
+      alias_prob_(alias_table_->prob.data()),
+      alias_(alias_table_->alias.data()),
+      alias_size_(alias_table_->prob.size()) {
   expects(region_lines > 0, "region must be non-empty");
   expects(app_.classes.size() <= 256, "class index must fit a byte");
-  build_alias();
   states_.resize(region_lines_);
   ctx_.resize(region_lines_);
   base_.resize(region_lines_);
   current_.resize(region_lines_);
 }
 
-void SampledTraceSource::build_alias() {
-  // Walker/Vose alias construction over the Zipf weights 1/(k+1)^theta.
-  // O(n) setup amortized over every draw; each draw is then O(1) instead of
-  // the CDF sampler's O(log n) binary search over a multi-MB array.
-  const std::uint64_t n = app_.working_set_lines;
-  expects(n > 0, "Zipf universe must be non-empty");
-  expects(n <= (std::uint64_t{1} << 32), "alias table index must fit 32 bits");
-  std::vector<double> w(n);
-  double total = 0.0;
-  for (std::uint64_t k = 0; k < n; ++k) {
-    w[k] = 1.0 / std::pow(static_cast<double>(k + 1), app_.zipf_theta);
-    total += w[k];
-  }
-  alias_prob_.assign(n, 1.0);
-  alias_.resize(n);
-  for (std::uint64_t k = 0; k < n; ++k) alias_[k] = static_cast<std::uint32_t>(k);
-
-  const double scale = static_cast<double>(n) / total;
-  std::vector<std::uint32_t> small;
-  std::vector<std::uint32_t> large;
-  for (std::uint64_t k = 0; k < n; ++k) {
-    alias_prob_[k] = w[k] * scale;
-    (alias_prob_[k] < 1.0 ? small : large).push_back(static_cast<std::uint32_t>(k));
-  }
-  while (!small.empty() && !large.empty()) {
-    const std::uint32_t s = small.back();
-    small.pop_back();
-    const std::uint32_t l = large.back();
-    large.pop_back();
-    alias_[s] = l;
-    alias_prob_[l] -= 1.0 - alias_prob_[s];
-    (alias_prob_[l] < 1.0 ? small : large).push_back(l);
-  }
-  // Leftovers are 1.0 up to rounding; clamp so they always take their own slot.
-  for (const std::uint32_t k : small) alias_prob_[k] = 1.0;
-  for (const std::uint32_t k : large) alias_prob_[k] = 1.0;
-}
-
 std::uint64_t SampledTraceSource::draw_rank() {
-  const std::uint64_t i = rank_rng_.next_below(alias_.size());
+  const std::uint64_t i = rank_rng_.next_below(alias_size_);
   return rank_rng_.next_double() < alias_prob_[i] ? i : alias_[i];
 }
 

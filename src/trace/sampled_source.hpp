@@ -6,7 +6,8 @@
 //      folded line (the region is small by construction: traces fold the
 //      app's working set onto the simulated PCM region);
 //   2. an O(log n) binary search over a multi-MB Zipf CDF (cache-missing)
-//      -> an O(1) Walker/Vose alias table, built once per app;
+//      -> an O(1) Walker/Vose alias table (common/zipf.hpp), shared by every
+//      live source of the same app;
 //   3. full value resynthesis per event (up to ~16 hashed word writes)
 //      -> cached static base + current blocks per line, advanced one version
 //      incrementally via value_model's apply_dynamic (revert the previous
@@ -23,10 +24,12 @@
 // only as the calibration oracle and behind `--source legacy`.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/zipf.hpp"
 #include "trace/trace_source.hpp"
 #include "workload/app_profile.hpp"
 #include "workload/value_model.hpp"
@@ -37,8 +40,11 @@ class SampledTraceSource final : public TraceSource {
  public:
   /// `region_lines` folds the app's working set onto the simulated PCM
   /// region, exactly as TraceGenerator does. Memory is O(region_lines)
-  /// for the cached per-line blocks plus O(working_set_lines) for the
-  /// alias table.
+  /// for the cached per-line blocks, plus the app's alias table: 12 bytes
+  /// per working-set line, paid once per distinct (working_set_lines,
+  /// zipf_theta) among the sources alive at the same time. The table is
+  /// shared and immutable and is freed with the last source holding it, so
+  /// a source built after that pays the build again.
   SampledTraceSource(const AppProfile& app, std::uint64_t region_lines, std::uint64_t seed);
 
   SampledTraceSource(const SampledTraceSource&) = delete;
@@ -58,6 +64,11 @@ class SampledTraceSource final : public TraceSource {
   /// Value most recently produced for `line` (all-zero if never written).
   [[nodiscard]] Block current_value(LineAddr line) const;
 
+  /// The shared Zipf alias table this source draws ranks from.
+  [[nodiscard]] const std::shared_ptr<const ZipfAliasTable>& alias_table() const {
+    return alias_table_;
+  }
+
   /// Calibration introspection (compared against TraceGenerator).
   [[nodiscard]] std::uint64_t shape_redraws() const { return shape_redraws_; }
   [[nodiscard]] std::uint64_t touched_lines() const { return touched_lines_; }
@@ -71,7 +82,6 @@ class SampledTraceSource final : public TraceSource {
     bool initialized = false;
   };
 
-  void build_alias();
   [[nodiscard]] std::uint64_t draw_rank();
   void rebuild_base(LineAddr line, LineState& st);
   void produce(LineAddr line, WritebackEvent& ev);
@@ -87,10 +97,13 @@ class SampledTraceSource final : public TraceSource {
   Rng rank_rng_;
   Rng state_rng_;
   ClassAssigner classes_;
-  // Walker/Vose alias table over Zipf ranks: P(rank k) proportional to
-  // 1/(k+1)^theta, identical pmf to common/zipf.hpp's CDF sampler.
-  std::vector<double> alias_prob_;
-  std::vector<std::uint32_t> alias_;
+  // Alias table over Zipf ranks: P(rank k) proportional to 1/(k+1)^theta,
+  // identical pmf to common/zipf.hpp's CDF sampler. draw_rank reads the
+  // table's arrays through the cached pointers, not through the shared_ptr.
+  std::shared_ptr<const ZipfAliasTable> alias_table_;
+  const double* alias_prob_;
+  const std::uint32_t* alias_;
+  std::uint64_t alias_size_;
   // Flat per-line state, indexed by folded line address.
   std::vector<LineState> states_;
   std::vector<ValueGenContext> ctx_;

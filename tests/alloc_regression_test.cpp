@@ -1,6 +1,7 @@
 // Guards the allocation-free steady-state write path: after warm-up, a
 // system.write() (compress -> heuristic -> place -> FnW/DW store, including
-// gap moves and fault handling) must never touch the heap. A counting
+// gap moves and fault handling) must never touch the heap, and neither may a
+// full comp-policy front tier choosing and forwarding its victims. A counting
 // operator new would catch any vector sneaking back into the hot loop.
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 
 #include "common/rng.hpp"
 #include "core/system.hpp"
+#include "tier/front_tier.hpp"
 
 namespace {
 
@@ -110,6 +112,45 @@ TEST(AllocRegression, SteadyStateWriteIsAllocationFree) {
   EXPECT_GT(system.stats().compressed_writes, 0u);
   EXPECT_GT(system.stats().uncompressed_writes, 0u);
   EXPECT_GT(system.stats().gap_moves, 0u);
+}
+
+TEST(AllocRegression, SteadyStateCompTierEvictionIsAllocationFree) {
+  FrontTierConfig cfg = FrontTierConfig::for_kb(16, TierPolicy::kComp);
+  // The embedded DRAM controller is left out: its std::deque bank queues
+  // allocate a chunk every few dozen requests, which is the controller's
+  // cost, not the tier filter's.
+  cfg.model_latency = false;
+  std::uint64_t forwarded = 0;
+  FrontTier tier(cfg, [&forwarded](const FrontTier::Forward&) { ++forwarded; });
+  const std::uint64_t universe = 8 * cfg.capacity_lines;
+
+  Rng rng(11);
+  std::vector<std::pair<LineAddr, Block>> events;
+  events.reserve(20000);
+  for (int i = 0; i < 20000; ++i) {
+    events.emplace_back(LineAddr{rng.next_below(universe)}, make_block(rng, i));
+  }
+
+  // Warm-up: every line passes through the tier and out again, so the
+  // PCM-resident map and the forward queue have reached their final size.
+  for (int round = 0; round < 2; ++round) {
+    for (std::uint64_t l = 0; l < universe; ++l) {
+      (void)tier.put(LineAddr{l}, make_block(rng, static_cast<int>(l)));
+    }
+  }
+  for (int i = 0; i < 50000; ++i) {
+    (void)tier.put(LineAddr{rng.next_below(universe)}, make_block(rng, i));
+  }
+  const std::uint64_t evictions_before = tier.stats().evictions;
+
+  g_alloc_count.store(0);
+  g_counting.store(true);
+  for (const auto& [addr, data] : events) (void)tier.put(addr, data);
+  g_counting.store(false);
+
+  EXPECT_EQ(g_alloc_count.load(), 0u) << "steady-state comp tier allocated on the heap";
+  EXPECT_GT(tier.stats().evictions - evictions_before, 15000u);
+  EXPECT_EQ(forwarded, tier.stats().evictions);
 }
 
 }  // namespace

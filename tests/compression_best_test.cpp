@@ -78,7 +78,9 @@ TEST(BestOf, ImageNeverGrowsToBlockSize) {
     Block b{};
     for (auto& byte : b) byte = static_cast<std::uint8_t>(rng.next_below(4) ? 0 : rng());
     const auto r = best.compress(b);
-    if (r) EXPECT_LT(r->size_bytes(), kBlockBytes);
+    if (r) {
+      EXPECT_LT(r->size_bytes(), kBlockBytes);
+    }
   }
 }
 

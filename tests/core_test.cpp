@@ -2,6 +2,8 @@
 // Figure-8 write heuristic, and compression-window placement.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
 #include "core/heuristic.hpp"
 #include "core/line_meta.hpp"
 #include "core/window.hpp"
@@ -11,9 +13,9 @@ namespace pcmsim {
 namespace {
 
 TEST(LineMeta, PackUnpackRoundTrips) {
-  for (std::uint8_t start : {0, 1, 33, 63}) {
-    for (std::uint8_t enc : {0, 5, 31}) {
-      for (std::uint8_t sc : {0, 1, 2, 3}) {
+  for (const std::uint8_t start : std::initializer_list<std::uint8_t>{0, 1, 33, 63}) {
+    for (const std::uint8_t enc : std::initializer_list<std::uint8_t>{0, 5, 31}) {
+      for (const std::uint8_t sc : std::initializer_list<std::uint8_t>{0, 1, 2, 3}) {
         for (bool comp : {false, true}) {
           LineMeta m;
           m.start_byte = start;
@@ -34,13 +36,13 @@ TEST(LineMeta, PackUnpackRoundTrips) {
 TEST(LineMeta, PackRejectsOutOfRangeFields) {
   LineMeta m;
   m.start_byte = 64;
-  EXPECT_THROW(pack_meta(m), ContractViolation);
+  EXPECT_THROW((void)pack_meta(m), ContractViolation);
   m.start_byte = 0;
   m.encoding = 32;
-  EXPECT_THROW(pack_meta(m), ContractViolation);
+  EXPECT_THROW((void)pack_meta(m), ContractViolation);
   m.encoding = 0;
   m.sc = 4;
-  EXPECT_THROW(pack_meta(m), ContractViolation);
+  EXPECT_THROW((void)pack_meta(m), ContractViolation);
 }
 
 // ---------------------------------------------------------------------------
@@ -164,7 +166,7 @@ class WindowPlacerTest : public ::testing::Test {
 };
 
 TEST_F(WindowPlacerTest, CleanLineFitsAnywhere) {
-  for (std::uint8_t start : {0, 17, 63}) {
+  for (const std::uint8_t start : std::initializer_list<std::uint8_t>{0, 17, 63}) {
     EXPECT_TRUE(placer_.fits(array_, 0, start, 16));
   }
 }

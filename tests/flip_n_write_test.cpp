@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <initializer_list>
 
 #include "common/rng.hpp"
 #include "pcm/flip_n_write.hpp"
@@ -77,7 +78,7 @@ TEST(FlipNWrite, EncodedFlipsMatchesDefinitionAcrossGroupSizes) {
   // The fused encoded_flips() must equal the definition computed from the
   // actual encoding: payload cells that change plus flag cells that change.
   Rng rng(4);
-  for (const std::size_t gb : {8, 16, 32, 64, 128, 512}) {
+  for (const std::size_t gb : std::initializer_list<std::size_t>{8, 16, 32, 64, 128, 512}) {
     FlipNWriteCodec codec(gb);
     Block stored{};
     std::uint64_t flags = 0;

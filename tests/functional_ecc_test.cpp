@@ -93,9 +93,9 @@ INSTANTIATE_TEST_SUITE_P(
         Case{"coset-w4", SystemMode::kCompWF, "milc", 80},
         Case{"coset-w4", SystemMode::kComp, "gcc", 100},
         Case{"coset-w8", SystemMode::kCompWF, "gcc", 100}),
-    [](const ::testing::TestParamInfo<Case>& info) {
-      std::string n = std::string(make_scheme(info.param.ecc)->name()) + "_" +
-                      std::string(to_string(info.param.mode)) + "_" + info.param.app;
+    [](const ::testing::TestParamInfo<Case>& param_info) {
+      std::string n = std::string(make_scheme(param_info.param.ecc)->name()) + "_" +
+                      std::string(to_string(param_info.param.mode)) + "_" + param_info.param.app;
       for (auto& c : n) {
         if (c == '-' || c == '+' || c == '.') c = '_';
       }

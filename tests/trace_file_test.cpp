@@ -181,7 +181,8 @@ TEST_F(TraceFileTest, TruncatedFileIsRejectedAtOpen) {
   write_v2(path, events, 64);
   const auto full = std::filesystem::file_size(path);
   for (const double frac : {0.95, 0.5, 0.1}) {
-    std::filesystem::resize_file(path, static_cast<std::uintmax_t>(full * frac));
+    std::filesystem::resize_file(path,
+                                 static_cast<std::uintmax_t>(static_cast<double>(full) * frac));
     EXPECT_THROW(TraceFileReader reader(path), ContractViolation) << "frac " << frac;
   }
   std::filesystem::resize_file(path, 0);
