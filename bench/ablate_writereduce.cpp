@@ -19,8 +19,8 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   set_threads_from_cli(args);
   const ScopedTimer timer("ablate_writereduce");
-  const auto writes = static_cast<int>(args.get_int("writes", 40000));
-  const auto group_bits = static_cast<std::size_t>(args.get_int("group", 64));
+  const auto writes = static_cast<int>(args.get_uint("writes", 40000));
+  const auto group_bits = static_cast<std::size_t>(args.get_uint("group", 64));
 
   // Each app replays its own fixed-seed trace — one pool task per app.
   struct Flips {

@@ -13,8 +13,8 @@ using namespace pcmsim;
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  const auto writes = static_cast<int>(args.get_int("writes", 20000));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 1234));
+  const auto writes = static_cast<int>(args.get_uint("writes", 20000));
+  const std::uint64_t seed = args.get_uint("seed", 1234);
 
   BestOfCompressor best;
   TablePrinter table({"app", "BDI_B", "FPC_B", "BEST_B", "CR_meas", "CR_paper"});

@@ -26,8 +26,8 @@ struct ShadowLine {
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  const auto writes = static_cast<int>(args.get_int("writes", 60000));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  const auto writes = static_cast<int>(args.get_uint("writes", 60000));
+  const std::uint64_t seed = args.get_uint("seed", 42);
 
   BestOfCompressor best;
   TablePrinter table({"app", "increased%", "untouched%", "decreased%"});

@@ -67,8 +67,8 @@ void trace_app(const std::string& name, int samples, std::uint64_t seed, bool cs
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  const auto samples = static_cast<int>(args.get_int("writes", 40));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 5));
+  const auto samples = static_cast<int>(args.get_uint("writes", 40));
+  const std::uint64_t seed = args.get_uint("seed", 5);
   const bool csv = args.get_bool("csv");
   trace_app("bzip2", samples, seed, csv);
   trace_app("hmmer", samples, seed, csv);

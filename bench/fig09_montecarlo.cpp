@@ -22,10 +22,10 @@ int main(int argc, char** argv) {
   set_threads_from_cli(args);
   const ScopedTimer timer("fig09_montecarlo");
   MonteCarloConfig mc;
-  mc.trials = static_cast<std::size_t>(args.get_int("trials", 20000));
+  mc.trials = static_cast<std::size_t>(args.get_uint("trials", 20000));
   mc.wrap_windows = !args.get_bool("no-wrap");
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
-  const auto step = static_cast<std::size_t>(args.get_int("step", 8));
+  const std::uint64_t seed = args.get_uint("seed", 3);
+  const auto step = static_cast<std::size_t>(args.get_uint("step", 8));
   const bool csv = args.get_bool("csv");
 
   const std::vector<std::size_t> sizes = {1, 8, 16, 20, 24, 32, 34, 36, 40, 64};

@@ -14,8 +14,8 @@ using namespace pcmsim;
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  const auto writes = static_cast<int>(args.get_int("writes", 200000));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 13));
+  const auto writes = static_cast<int>(args.get_uint("writes", 200000));
+  const std::uint64_t seed = args.get_uint("seed", 13);
   const bool csv = args.get_bool("csv");
 
   BestOfCompressor best;

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   const ScopedTimer timer("fig12_tolerable_errors");
   auto scale = ExperimentScale::from_flag(
       args.get_bool("paper") ? "paper" : (args.get_bool("fast") ? "fast" : "default"));
-  scale.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  scale.seed = args.get_uint("seed", 1);
 
   // `--ecc <spec>` swaps the hard-error scheme (ECC registry grammar); the
   // "vs" column normalizes to the selected scheme's guaranteed strength.

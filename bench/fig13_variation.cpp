@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   const ScopedTimer timer("fig13_variation");
   auto scale = ExperimentScale::from_flag(
       args.get_bool("paper") ? "paper" : (args.get_bool("fast") ? "fast" : "default"));
-  scale.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  scale.seed = args.get_uint("seed", 1);
   scale.endurance_cov = args.get_double("cov", 0.25);
 
   const auto apps = all_app_names();

@@ -59,15 +59,15 @@ int run(const CliArgs& args) {
   if (args.get_bool("profile")) prof::set_enabled(true);
 
   LifetimeConfig base;
-  base.system.device.lines = static_cast<std::uint64_t>(args.get_int("lines", 512));
+  base.system.device.lines = args.get_uint("lines", 512);
   base.system.device.endurance_mean = args.get_double("endurance", 200);
   base.system.device.endurance_cov = args.get_double("cov", 0.15);
-  base.max_writes = static_cast<std::uint64_t>(args.get_int("max_writes", 100'000'000));
-  const std::uint64_t trace_seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  base.max_writes = args.get_uint("max_writes", 100'000'000);
+  const std::uint64_t trace_seed = args.get_uint("seed", 42);
 
   std::vector<std::size_t> kbs;
   for (const std::string& s : split_csv(args.get("tier-kbs", "8,16,32"))) {
-    kbs.push_back(static_cast<std::size_t>(std::stoull(s)));
+    kbs.push_back(static_cast<std::size_t>(parse_uint(s, "tier-kbs")));
   }
   std::vector<TierPolicy> policies;
   for (const std::string& s : split_csv(args.get("policies", "lru,silent,comp"))) {
@@ -166,7 +166,7 @@ int run(const CliArgs& args) {
     std::cout << "\n";
   }
   if (args.has("expect_checksum")) {
-    const std::uint64_t expect = std::stoull(args.get("expect_checksum", "0"));
+    const std::uint64_t expect = args.get_uint("expect_checksum", 0);
     if (expect != h) {
       std::cerr << "checksum mismatch: expected " << expect << ", got " << h
                 << " — the front-tier matrix's observable behaviour changed\n";

@@ -11,12 +11,23 @@
 // A separate aged-array stage measures window placement at 0/8/32 stuck
 // cells per line, the regime the fault-state caches accelerate.
 //
+// The aged phase covers what the fresh loop cannot reach: a milc stream wears
+// a small CompWF + ECP-6 array to failure (50 % dead capacity), and an
+// identical second run times a window of writes at 0/25/50/75 % of that
+// lifetime — near end of life lines carry dozens of stuck cells and every
+// write searches for a window that dodges them. It reports ns/op per point
+// (plus the stage table under `--profile`) and its own work checksum.
+//
 // `--profile` adds the per-stage cycle counters (common/profiler.hpp) to the
-// JSON; `--expect_checksum N` exits non-zero when the deterministic work
-// checksum deviates — CI runs this to catch perf refactors that silently
-// change behaviour (see bench/CMakeLists.txt).
+// JSON; `--expect_checksum N` / `--expect_aged_checksum N` exit non-zero when
+// the deterministic work checksum of the fresh / aged phase deviates — CI
+// runs these to catch perf refactors that silently change behaviour (see
+// bench/CMakeLists.txt).
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <iostream>
+#include <sstream>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -26,6 +37,7 @@
 #include "core/system.hpp"
 #include "pcm/flip_n_write.hpp"
 #include "trace/sampled_source.hpp"
+#include "trace/trace_source.hpp"
 #include "workload/trace.hpp"
 
 using namespace pcmsim;
@@ -69,14 +81,153 @@ double place_ns_per_find(std::size_t faults_per_line, std::uint64_t seed) {
   return sink == 0 ? ns + 1e-9 : ns;  // sink defeats dead-code elimination
 }
 
+/// Aged-phase shape: small and short-lived enough that the wear-out run and
+/// its timed replay take well under a second; its lines still die carrying
+/// ~25 stuck cells (~30 in the full-size lifetime runs), far past ECP-6's
+/// guarantee, so placement searches as it does near end of life.
+constexpr std::uint64_t kAgedLines = 64;
+constexpr double kAgedEndurance = 200;
+constexpr std::size_t kAgedWindow = 4096;  ///< writes timed per point
+constexpr std::array<double, 4> kAgedPoints = {0.0, 0.25, 0.5, 0.75};
+
+struct StageSnapshot {
+  std::array<std::uint64_t, prof::kStageCount> ticks{};
+  std::array<std::uint64_t, prof::kStageCount> calls{};
+
+  static StageSnapshot now() {
+    StageSnapshot snap;
+    for (std::size_t i = 0; i < prof::kStageCount; ++i) {
+      snap.ticks[i] = prof::stage_ticks(static_cast<prof::Stage>(i));
+      snap.calls[i] = prof::stage_calls(static_cast<prof::Stage>(i));
+    }
+    return snap;
+  }
+};
+
+struct AgedPoint {
+  double consumed = 0;
+  double ns_per_op = 0;
+  StageSnapshot stages;  ///< stage deltas over the timed window
+};
+
+struct AgedResult {
+  std::uint64_t lifetime_writes = 0;
+  double faults_at_death = 0;  ///< mean stuck cells per dead line (replay)
+  std::size_t window = 0;
+  std::vector<AgedPoint> points;
+  std::uint64_t checksum = 0;
+};
+
+AgedResult run_aged(std::uint64_t seed) {
+  SystemConfig cfg;
+  cfg.device.lines = kAgedLines + 1;  // + gap line
+  cfg.device.endurance_mean = kAgedEndurance;
+  cfg.device.seed = seed;
+  cfg.seed = seed;
+
+  const AppProfile& milc = profile_by_name("milc");
+  AgedResult out;
+  {
+    // Wear-out run: the lifetime every point is a fraction of.
+    PcmSystem system(cfg);
+    SampledTraceSource source(milc, kAgedLines, seed);
+    TraceCursor stream(source);
+    while (!system.failed()) {
+      const WritebackEvent ev = stream.next();
+      (void)system.write(ev.line, ev.data);
+      ++out.lifetime_writes;
+    }
+  }
+  out.window = std::min<std::size_t>(kAgedWindow, out.lifetime_writes / 4);
+
+  // Replay: the same stream on the same array, timing `window` writes at each
+  // point. Events of a window are drawn before its clock starts.
+  PcmSystem system(cfg);
+  SampledTraceSource source(milc, kAgedLines, seed);
+  TraceCursor stream(source);
+  std::uint64_t written = 0;
+  std::uint64_t flips = 0;
+  std::vector<WritebackEvent> window(out.window);
+  for (const double consumed : kAgedPoints) {
+    const auto target =
+        static_cast<std::uint64_t>(consumed * static_cast<double>(out.lifetime_writes));
+    for (; written < target; ++written) {
+      const WritebackEvent ev = stream.next();
+      flips += system.write(ev.line, ev.data).flips;
+    }
+    for (auto& ev : window) ev = stream.next();
+    const StageSnapshot before = StageSnapshot::now();
+    const auto t0 = Clock::now();
+    for (const auto& ev : window) flips += system.write(ev.line, ev.data).flips;
+    const auto t1 = Clock::now();
+    const StageSnapshot after = StageSnapshot::now();
+    written += window.size();
+    AgedPoint point;
+    point.consumed = consumed;
+    point.ns_per_op = ns_per_op(t0, t1, window.size());
+    for (std::size_t i = 0; i < prof::kStageCount; ++i) {
+      point.stages.ticks[i] = after.ticks[i] - before.ticks[i];
+      point.stages.calls[i] = after.calls[i] - before.calls[i];
+    }
+    out.points.push_back(point);
+  }
+
+  // The work checksum: lifetime, programmed bits, placement outcomes and
+  // the fault map the replay left behind.
+  const SystemStats& st = system.stats();
+  std::uint64_t stuck = 0;
+  for (std::uint64_t line = 0; line < cfg.device.lines; ++line) {
+    stuck += system.array().data_stuck_count(line);
+  }
+  std::uint64_t h = mix64(out.lifetime_writes, flips);
+  for (const std::uint64_t v : {st.compressed_writes, st.window_slides, st.recycled_lines,
+                                st.lines_dead, st.uncorrectable_events, stuck}) {
+    h = mix64(h, v);
+  }
+  out.checksum = h;
+  out.faults_at_death = st.faults_at_death.mean();
+  return out;
+}
+
+void print_aged(std::ostream& os, const AgedResult& aged) {
+  os << "  \"aged\": {\n"
+     << "    \"lines\": " << kAgedLines << ", \"endurance\": " << kAgedEndurance
+     << ", \"app\": \"milc\", \"ecc\": \"ecp6\", \"mode\": \"CompWF\",\n"
+     << "    \"lifetime_writes\": " << aged.lifetime_writes
+     << ", \"faults_at_death\": " << aged.faults_at_death
+     << ", \"window_writes\": " << aged.window << ",\n"
+     << "    \"points\": [";
+  for (std::size_t p = 0; p < aged.points.size(); ++p) {
+    const AgedPoint& pt = aged.points[p];
+    os << (p ? "," : "") << "\n      {\"consumed\": " << pt.consumed
+       << ", \"ns_per_op\": " << pt.ns_per_op;
+    if (prof::enabled()) {
+      os << ", \"stages\": {";
+      bool first = true;
+      for (std::size_t i = 0; i < prof::kStageCount; ++i) {
+        if (pt.stages.calls[i] == 0) continue;
+        os << (first ? "" : ", ") << "\"" << prof::stage_name(static_cast<prof::Stage>(i))
+           << "\": {\"ticks\": " << pt.stages.ticks[i] << ", \"calls\": " << pt.stages.calls[i]
+           << "}";
+        first = false;
+      }
+      os << "}";
+    }
+    os << "}";
+  }
+  os << "\n    ],\n    \"checksum\": " << aged.checksum << "\n  }";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  const auto writes = static_cast<std::size_t>(args.get_int("writes", 200000));
-  const auto lines = static_cast<std::uint64_t>(args.get_int("lines", 4096));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  const auto writes = static_cast<std::size_t>(args.get_uint("writes", 200000));
+  const auto lines = args.get_uint("lines", 4096);
+  const std::uint64_t seed = args.get_uint("seed", 42);
   const auto expect_checksum = args.get_int("expect_checksum", -1);
+  const bool check_aged = args.has("expect_aged_checksum");
+  const std::uint64_t expect_aged = args.get_uint("expect_aged_checksum", 0);
   if (args.get_bool("profile")) prof::set_enabled(true);
 
   // Pre-generate a mixed corpus so trace generation stays out of every timed
@@ -160,6 +311,13 @@ int main(int argc, char** argv) {
   const double place_f0 = place_ns_per_find(0, seed);
   const double place_f8 = place_ns_per_find(8, seed);
   const double place_f32 = place_ns_per_find(32, seed);
+  // The fresh-memory profile is reported on its own; the aged phase reports
+  // per-point deltas.
+  std::ostringstream fresh_profile;
+  if (prof::enabled()) prof::dump_json(fresh_profile, "  ");
+
+  // --- Stage 5: the write path on aged memory -----------------------------
+  const AgedResult aged = run_aged(seed);
 
   const double write_ns = ns_per_op(w0, w1, writes);
   const std::size_t checksum = comp_bytes ^ fnw_flips ^ flips;
@@ -174,15 +332,19 @@ int main(int argc, char** argv) {
             << "  \"place_find_ns_faults8\": " << place_f8 << ",\n"
             << "  \"place_find_ns_faults32\": " << place_f32 << ",\n"
             << "  \"checksum\": " << checksum;
-  if (prof::enabled()) {
-    std::cout << ",\n  \"profile\": ";
-    prof::dump_json(std::cout, "  ");
-  }
+  if (prof::enabled()) std::cout << ",\n  \"profile\": " << fresh_profile.str();
+  std::cout << ",\n";
+  print_aged(std::cout, aged);
   std::cout << "\n}\n";
 
   if (expect_checksum >= 0 && static_cast<std::size_t>(expect_checksum) != checksum) {
     std::cerr << "checksum mismatch: expected " << expect_checksum << ", got " << checksum
               << " — the write path's observable behaviour changed\n";
+    return 1;
+  }
+  if (check_aged && expect_aged != aged.checksum) {
+    std::cerr << "aged checksum mismatch: expected " << expect_aged << ", got "
+              << aged.checksum << " — the aged write path's observable behaviour changed\n";
     return 1;
   }
   return 0;

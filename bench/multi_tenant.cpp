@@ -47,11 +47,11 @@ std::vector<AppProfile> parse_apps(const std::string& csv) {
 int run(const CliArgs& args) {
   const std::size_t threads = set_threads_from_cli(args);
 
-  const auto tenants = static_cast<std::uint32_t>(args.get_int("tenants", 16));
-  const auto shards = static_cast<std::uint32_t>(args.get_int("shards", 8));
-  const auto events = static_cast<std::uint64_t>(args.get_int("events", 200000));
-  const auto lines = static_cast<std::uint64_t>(args.get_int("lines", 257));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  const auto tenants = static_cast<std::uint32_t>(args.get_uint("tenants", 16));
+  const auto shards = static_cast<std::uint32_t>(args.get_uint("shards", 8));
+  const auto events = args.get_uint("events", 200000);
+  const auto lines = args.get_uint("lines", 257);
+  const std::uint64_t seed = args.get_uint("seed", 42);
   const std::vector<AppProfile> apps = parse_apps(args.get("apps", "gcc,milc,lbm"));
 
   ShardedEngineConfig cfg;
@@ -60,20 +60,20 @@ int run(const CliArgs& args) {
   cfg.shard_system.device.endurance_cov = args.get_double("cov", 0.15);
   // Geometry: channels divide the shard count when possible (Table II has 2
   // channels); odd shard counts fall back to a single channel.
-  const auto channels = static_cast<std::uint32_t>(args.get_int("channels", 2));
+  const auto channels = static_cast<std::uint32_t>(args.get_uint("channels", 2));
   cfg.map.channels = (shards % channels == 0 && shards >= channels) ? channels : 1;
   cfg.map.banks_per_channel = shards / cfg.map.channels;
   cfg.tenants = tenants;
   cfg.seed = seed;
-  cfg.queue_capacity = static_cast<std::size_t>(args.get_int("queue_capacity", 4096));
-  cfg.tenant_batch = static_cast<std::size_t>(args.get_int("tenant_batch", 256));
-  cfg.arrival_gap_cycles = static_cast<std::uint64_t>(args.get_int("gap_cycles", 16));
+  cfg.queue_capacity = static_cast<std::size_t>(args.get_uint("queue_capacity", 4096));
+  cfg.tenant_batch = static_cast<std::size_t>(args.get_uint("tenant_batch", 256));
+  cfg.arrival_gap_cycles = args.get_uint("gap_cycles", 16);
   cfg.prefetch = args.get_bool("prefetch");
   // `--tier-kb N --tier-policy lru|silent|comp` fronts every shard with a
   // content-aware DRAM tier (capacity is per shard). Off by default, which
   // keeps the pre-tier pinned checksum byte-identical. The policy is parsed
   // even without --tier-kb so a bad value never runs silently.
-  const auto tier_kb = static_cast<std::size_t>(args.get_int("tier-kb", 0));
+  const auto tier_kb = static_cast<std::size_t>(args.get_uint("tier-kb", 0));
   const TierPolicy tier_policy = tier_policy_from_string(args.get("tier-policy", "lru"));
   if (tier_kb > 0) cfg.tier = FrontTierConfig::for_kb(tier_kb, tier_policy);
 
@@ -159,7 +159,7 @@ int run(const CliArgs& args) {
   std::cout << "\n  ],\n  \"checksum\": " << result.checksum << "\n}\n";
 
   if (args.has("expect_checksum")) {
-    const std::uint64_t expect = std::stoull(args.get("expect_checksum", "0"));
+    const std::uint64_t expect = args.get_uint("expect_checksum", 0);
     if (expect != result.checksum) {
       std::cerr << "checksum mismatch: expected " << expect << ", got " << result.checksum
                 << " — the sharded engine's observable behaviour changed\n";

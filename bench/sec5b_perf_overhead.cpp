@@ -109,8 +109,8 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   set_threads_from_cli(args);
   const ScopedTimer timer("sec5b_perf_overhead");
-  const auto cycles = static_cast<std::uint64_t>(args.get_int("cycles", 2000000));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 11));
+  const auto cycles = args.get_uint("cycles", 2000000);
+  const std::uint64_t seed = args.get_uint("seed", 11);
 
   // Each app's measurement is self-contained (own generator/controller/RNG
   // streams from fixed seeds), so the 15 apps run as independent tasks.

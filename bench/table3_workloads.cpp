@@ -21,9 +21,9 @@ using namespace pcmsim;
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  const auto instructions = static_cast<std::uint64_t>(args.get_int("instructions", 400000));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
-  const auto tier_kb = static_cast<std::size_t>(args.get_int("tier-kb", 0));
+  const auto instructions = args.get_uint("instructions", 400000);
+  const std::uint64_t seed = args.get_uint("seed", 3);
+  const auto tier_kb = static_cast<std::size_t>(args.get_uint("tier-kb", 0));
   const TierPolicy tier_policy =
       tier_policy_from_string(args.get("tier-policy", "lru"));
 
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     std::optional<FrontTier> tier;
     if (tier_kb > 0) {
       SystemConfig sys;
-      sys.device.lines = static_cast<std::uint64_t>(args.get_int("lines", 4097));
+      sys.device.lines = args.get_uint("lines", 4097);
       // Characterization run: default (unscaled-down) endurance, so nothing
       // dies over a bench-sized instruction budget.
       pcm.emplace(sys);

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   const ScopedTimer timer("table4_months");
   auto scale = ExperimentScale::from_flag(
       args.get_bool("paper") ? "paper" : (args.get_bool("fast") ? "fast" : "default"));
-  scale.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  scale.seed = args.get_uint("seed", 1);
   MonthsModel model;
   model.ipc = args.get_double("ipc", 0.4);
 

@@ -54,26 +54,26 @@ namespace {
 /// behaves (and checksums) exactly as before. The policy is parsed either way
 /// so a bad value never runs silently.
 FrontTierConfig tier_config_from_cli(const CliArgs& args) {
-  const auto tier_kb = static_cast<std::size_t>(args.get_int("tier-kb", 0));
+  const auto tier_kb = static_cast<std::size_t>(args.get_uint("tier-kb", 0));
   const TierPolicy policy = tier_policy_from_string(args.get("tier-policy", "lru"));
   if (tier_kb == 0) return {};
   return FrontTierConfig::for_kb(tier_kb, policy);
 }
 
 int run_multi_tenant(const CliArgs& args) {
-  const auto tenants = static_cast<std::uint32_t>(args.get_int("tenants", 16));
-  const auto shards = static_cast<std::uint32_t>(args.get_int("shards", 8));
+  const auto tenants = static_cast<std::uint32_t>(args.get_uint("tenants", 16));
+  const auto shards = static_cast<std::uint32_t>(args.get_uint("shards", 8));
 
   ShardedEngineConfig cfg;
-  cfg.shard_system.device.lines = static_cast<std::uint64_t>(args.get_int("lines", 257));
+  cfg.shard_system.device.lines = args.get_uint("lines", 257);
   cfg.shard_system.device.endurance_mean = args.get_double("endurance", 100);
   cfg.shard_system.device.endurance_cov = args.get_double("cov", 0.15);
-  const auto channels = static_cast<std::uint32_t>(args.get_int("channels", 2));
+  const auto channels = static_cast<std::uint32_t>(args.get_uint("channels", 2));
   cfg.map.channels = (shards % channels == 0 && shards >= channels) ? channels : 1;
   cfg.map.banks_per_channel = shards / cfg.map.channels;
   cfg.tenants = tenants;
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  cfg.arrival_gap_cycles = static_cast<std::uint64_t>(args.get_int("gap_cycles", 16));
+  cfg.seed = args.get_uint("seed", 42);
+  cfg.arrival_gap_cycles = args.get_uint("gap_cycles", 16);
   cfg.prefetch = args.get_bool("prefetch");
   cfg.tier = tier_config_from_cli(args);
 
@@ -100,7 +100,7 @@ int run_multi_tenant(const CliArgs& args) {
               << " lines/shard, policy " << to_string(cfg.tier.policy) << "\n";
   }
 
-  const auto events = static_cast<std::uint64_t>(args.get_int("events", 2'000'000));
+  const auto events = args.get_uint("events", 2'000'000);
   const ShardedRunResult result = engine.run(events);
 
   TablePrinter shard_table({"shard", "events", "utilization", "write_lat_cycles",
@@ -149,7 +149,7 @@ int run(const CliArgs& args) {
   const AppProfile& app = profile_by_name(app_name);
 
   LifetimeConfig lc;
-  lc.system.device.lines = static_cast<std::uint64_t>(args.get_int("lines", 768));
+  lc.system.device.lines = args.get_uint("lines", 768);
   lc.system.device.endurance_mean = args.get_double("endurance", 600);
   lc.system.device.endurance_cov = args.get_double("cov", 0.15);
   lc.max_writes = 4'000'000'000ull;

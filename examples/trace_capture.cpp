@@ -28,7 +28,7 @@ using namespace pcmsim;
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const std::string app_name = args.get("app", "gcc");
-  const auto instructions = static_cast<std::uint64_t>(args.get_int("instructions", 60000));
+  const auto instructions = args.get_uint("instructions", 60000);
   const std::string path = args.get("out", "/tmp/pcmsim_" + app_name + ".trace");
   const bool keep = args.get_bool("keep");
   const AppProfile& app = profile_by_name(app_name);

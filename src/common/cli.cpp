@@ -1,7 +1,9 @@
 #include "common/cli.hpp"
 
+#include <charconv>
 #include <iostream>
 #include <stdexcept>
+#include <system_error>
 
 #include "common/assert.hpp"
 
@@ -10,6 +12,23 @@ namespace pcmsim {
 namespace {
 
 bool looks_like_key(const std::string& s) { return s.rfind("--", 0) == 0 && s.size() > 2; }
+
+/// Full-token std::from_chars into T; `what` describes the expected value.
+template <typename T>
+T parse_number(std::string_view text, std::string_view flag, std::string_view what) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  const std::string where = "--" + std::string(flag) + ": ";
+  if (ec == std::errc::result_out_of_range) {
+    throw std::out_of_range(where + "'" + std::string(text) + "' is out of range");
+  }
+  if (ec != std::errc{} || ptr != end) {
+    throw std::invalid_argument(where + "expected " + std::string(what) + ", got '" +
+                                std::string(text) + "'");
+  }
+  return value;
+}
 
 }  // namespace
 
@@ -44,12 +63,23 @@ std::string CliArgs::get(const std::string& key, const std::string& dflt) const 
 
 std::int64_t CliArgs::get_int(const std::string& key, std::int64_t dflt) const {
   const auto it = kv_.find(key);
-  return it == kv_.end() ? dflt : std::stoll(it->second);
+  return it == kv_.end() ? dflt : parse_number<std::int64_t>(it->second, key, "an integer");
+}
+
+std::uint64_t CliArgs::get_uint(const std::string& key, std::uint64_t dflt) const {
+  const auto it = kv_.find(key);
+  return it == kv_.end() ? dflt : parse_uint(it->second, key);
 }
 
 double CliArgs::get_double(const std::string& key, double dflt) const {
   const auto it = kv_.find(key);
-  return it == kv_.end() ? dflt : std::stod(it->second);
+  return it == kv_.end() ? dflt : parse_number<double>(it->second, key, "a number");
+}
+
+std::uint64_t parse_uint(std::string_view text, std::string_view flag) {
+  // from_chars into an unsigned type already refuses a leading '-', so a
+  // negative count is reported instead of wrapping to ~2^64.
+  return parse_number<std::uint64_t>(text, flag, "a non-negative integer");
 }
 
 int cli_main(int argc, const char* const* argv,

@@ -6,11 +6,24 @@
 
 namespace pcmsim {
 
-MemoryController::MemoryController(const ControllerConfig& config)
-    : config_(config), banks_(config.banks) {
+void MemoryController::RequestRing::push_back(const MemRequest& r) {
+  ensures(size_ < slots_.size(), "request queue overflow");
+  std::size_t tail = head_ + size_;
+  if (tail >= slots_.size()) tail -= slots_.size();
+  slots_[tail] = r;
+  ++size_;
+}
+
+MemoryController::MemoryController(const ControllerConfig& config) : config_(config) {
   expects(config.banks >= 1, "need at least one bank");
+  expects(config.read_queue_cap >= 1 && config.write_queue_cap >= 1,
+          "bank queues need capacity for at least one request");
   expects(config.write_drain_watermark <= config.write_queue_cap,
           "drain watermark cannot exceed the write queue capacity");
+  banks_.reserve(config.banks);
+  for (std::uint32_t b = 0; b < config.banks; ++b) {
+    banks_.emplace_back(config.read_queue_cap, config.write_queue_cap);
+  }
 }
 
 std::uint32_t MemoryController::read_service_cycles() const {

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -65,10 +64,32 @@ class MemoryController {
   [[nodiscard]] std::uint32_t write_service_cycles() const;
 
  private:
+  /// FIFO of at most `cap` requests in storage sized once at construction:
+  /// submit() never queues past a bank's cap, so the request path never
+  /// touches the heap.
+  class RequestRing {
+   public:
+    explicit RequestRing(std::size_t cap) : slots_(cap) {}
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] const MemRequest& front() const { return slots_[head_]; }
+    void pop_front() {
+      head_ = head_ + 1 == slots_.size() ? 0 : head_ + 1;
+      --size_;
+    }
+    void push_back(const MemRequest& r);
+
+   private:
+    std::vector<MemRequest> slots_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+
   struct Bank {
+    Bank(std::size_t read_cap, std::size_t write_cap) : reads(read_cap), writes(write_cap) {}
     std::uint64_t free_at = 0;
-    std::deque<MemRequest> reads;
-    std::deque<MemRequest> writes;
+    RequestRing reads;
+    RequestRing writes;
   };
 
   void pump(Bank& bank, std::uint64_t now);

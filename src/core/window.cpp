@@ -76,6 +76,11 @@ std::size_t window_stuck_from_prefix(std::span<const std::uint16_t> prefix,
 
 }  // namespace
 
+WindowPlacer::WindowPlacer(const HardErrorScheme& scheme)
+    : scheme_(&scheme),
+      guaranteed_(scheme.guaranteed_correctable()),
+      count_exact_(scheme.traits().tolerance_is_count_exact) {}
+
 bool WindowPlacer::fits(const PcmArray& array, std::size_t line, std::uint8_t start,
                         std::uint8_t size_bytes) const {
   return fits(array, line, start, size_bytes, {});
@@ -88,12 +93,14 @@ bool WindowPlacer::fits(const PcmArray& array, std::size_t line, std::uint8_t st
   // and every implemented scheme tolerates any pattern of up to
   // guaranteed_correctable() faults — the common zero/low-fault line never
   // scans a single window word. (The guarantee is data-independent, so the
-  // fast paths stay valid in the slack-aware case too.)
+  // fast paths stay valid in the slack-aware case too.) For a count-exact
+  // scheme the window's count is also the whole answer past the guarantee.
   const std::size_t line_stuck = array.data_stuck_count(line);
-  if (line_stuck <= scheme_->guaranteed_correctable()) return true;
+  if (line_stuck <= guaranteed_) return true;
   const std::size_t stuck =
       window_stuck_from_prefix(array.byte_stuck_prefix(line), start, size_bytes);
-  if (stuck <= scheme_->guaranteed_correctable()) return true;
+  if (stuck <= guaranteed_) return true;
+  if (count_exact_) return false;
   WindowFaultBuffer buf;
   const auto faults = window_faults_into(array, line, start, size_bytes, buf);
   return scheme_->can_tolerate_with(faults, static_cast<std::size_t>(size_bytes) * 8,
@@ -104,12 +111,13 @@ std::optional<std::uint8_t> WindowPlacer::find(const PcmArray& array, std::size_
                                                std::uint8_t size_bytes, std::uint8_t preferred,
                                                SlidePolicy policy) const {
   expects(preferred < kBlockBytes, "preferred start must be inside the line");
-  const std::size_t guaranteed = scheme_->guaranteed_correctable();
-  const bool clean = array.data_stuck_count(line) <= guaranteed;
+  const bool clean = array.data_stuck_count(line) <= guaranteed_;
 
   // Each policy tries `preferred` first, so when the whole line is below the
   // guaranteed bound the answer is the first start its search order visits —
-  // no per-start work at all.
+  // no per-start work at all. Past it, a count-exact scheme is decided by each
+  // start's prefix-sum count alone; only the others gather the window's faults
+  // and ask can_tolerate().
   switch (policy) {
     case SlidePolicy::kStay: {
       if (clean) return preferred;
@@ -124,7 +132,8 @@ std::optional<std::uint8_t> WindowPlacer::find(const PcmArray& array, std::size_
       WindowFaultBuffer buf;
       for (std::uint8_t start = preferred;
            static_cast<std::size_t>(start) + size_bytes <= kBlockBytes; ++start) {
-        if (window_stuck_from_prefix(prefix, start, size_bytes) <= guaranteed) return start;
+        if (window_stuck_from_prefix(prefix, start, size_bytes) <= guaranteed_) return start;
+        if (count_exact_) continue;
         const auto faults = window_faults_into(array, line, start, size_bytes, buf);
         if (scheme_->can_tolerate(faults, static_cast<std::size_t>(size_bytes) * 8)) return start;
       }
@@ -136,7 +145,8 @@ std::optional<std::uint8_t> WindowPlacer::find(const PcmArray& array, std::size_
       WindowFaultBuffer buf;
       for (std::size_t i = 0; i < kBlockBytes; ++i) {
         const auto start = static_cast<std::uint8_t>((preferred + i) % kBlockBytes);
-        if (window_stuck_from_prefix(prefix, start, size_bytes) <= guaranteed) return start;
+        if (window_stuck_from_prefix(prefix, start, size_bytes) <= guaranteed_) return start;
+        if (count_exact_) continue;
         const auto faults = window_faults_into(array, line, start, size_bytes, buf);
         if (scheme_->can_tolerate(faults, static_cast<std::size_t>(size_bytes) * 8)) return start;
       }

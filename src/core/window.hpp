@@ -67,7 +67,9 @@ enum class SlidePolicy : std::uint8_t {
 
 class WindowPlacer {
  public:
-  explicit WindowPlacer(const HardErrorScheme& scheme) : scheme_(&scheme) {}
+  /// Snapshots the scheme's guarantee and count-exactness once, so the
+  /// per-start checks below are plain compares with no virtual call.
+  explicit WindowPlacer(const HardErrorScheme& scheme);
 
   /// True when the window at `start` can store arbitrary data.
   [[nodiscard]] bool fits(const PcmArray& array, std::size_t line, std::uint8_t start,
@@ -90,6 +92,10 @@ class WindowPlacer {
 
  private:
   const HardErrorScheme* scheme_;
+  std::size_t guaranteed_;  ///< scheme_->guaranteed_correctable()
+  /// SchemeTraits::tolerance_is_count_exact: a window whose prefix-sum fault
+  /// count exceeds guaranteed_ is rejected without gathering its faults.
+  bool count_exact_;
 };
 
 }  // namespace pcmsim

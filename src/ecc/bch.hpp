@@ -32,6 +32,12 @@ class BchScheme final : public HardErrorScheme {
   [[nodiscard]] std::string_view name() const override { return name_; }
   [[nodiscard]] std::size_t metadata_bits() const override { return t_ * kSymbolBits; }
   [[nodiscard]] std::size_t guaranteed_correctable() const override { return 2 * t_; }
+  /// can_tolerate() is a plain count against guaranteed_correctable().
+  [[nodiscard]] SchemeTraits traits() const override {
+    SchemeTraits t = HardErrorScheme::traits();
+    t.tolerance_is_count_exact = true;
+    return t;
+  }
   [[nodiscard]] bool can_tolerate(std::span<const FaultCell> faults,
                                   std::size_t window_bits) const override;
   [[nodiscard]] std::optional<EncodeResult> encode(

@@ -16,8 +16,10 @@ namespace pcmsim {
 
 namespace {
 
-constexpr SchemeTraits line_traits(std::size_t meta, std::size_t guaranteed) {
-  return SchemeTraits{meta, guaranteed, SchemeGranularity::kLine, true, false, false};
+constexpr SchemeTraits line_traits(std::size_t meta, std::size_t guaranteed,
+                                   bool count_exact) {
+  return SchemeTraits{meta, guaranteed, SchemeGranularity::kLine, true, false, false,
+                      count_exact};
 }
 
 // The canonical laboratory, in bench enumeration order. Names and traits are
@@ -25,21 +27,21 @@ constexpr SchemeTraits line_traits(std::size_t meta, std::size_t guaranteed) {
 // schemes exactly.
 constexpr std::array<SchemeSpecInfo, 8> kRegistry = {{
     {"ecp6", "ECP-6", "6 pointer+replacement entries (paper baseline, 63 meta bits)",
-     line_traits(63, 6)},
+     line_traits(63, 6, true)},
     {"ecp12", "ECP-12", "12 ECP entries (2x budget: what pointers alone buy)",
-     line_traits(124, 12)},
+     line_traits(124, 12, true)},
     {"safer32", "SAFER-32", "32 address-bit partitions, greedy field selection",
-     line_traits(52, 6)},
+     line_traits(52, 6, false)},
     {"aegis17x31", "Aegis-17x31", "CRT grid partitions, 8 guaranteed in 37 meta bits",
-     line_traits(37, 8)},
+     line_traits(37, 8, false)},
     {"secded", "SECDED-72.64", "Hsiao (72,64) per word; DRAM baseline, whole lines only",
-     SchemeTraits{64, 1, SchemeGranularity::kLine, false, true, false}},
+     SchemeTraits{64, 1, SchemeGranularity::kLine, false, true, false, false}},
     {"bch-t2", "BCH-t2", "2 odd syndromes over GF(2^10): 4 erasures in 20 meta bits",
-     line_traits(20, 4)},
+     line_traits(20, 4, true)},
     {"bch-t6", "BCH-t6", "6 odd syndromes: 12 erasures in 60 meta bits (2x ECP-6)",
-     line_traits(60, 12)},
+     line_traits(60, 12, true)},
     {"coset-w4", "Coset-W4", "word-level restricted coset coding over per-word FPC slack",
-     SchemeTraits{32, 1, SchemeGranularity::kWord, false, false, true}},
+     SchemeTraits{32, 1, SchemeGranularity::kWord, false, false, true, false}},
 }};
 
 /// Parses the decimal integer that is the whole remainder of `s`.

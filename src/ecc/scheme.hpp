@@ -54,6 +54,13 @@ struct SchemeTraits {
   /// Needs the compression scan's per-word slack to function — the system
   /// must run with compression enabled (word-level restricted coset coding).
   bool requires_compression = false;
+  /// can_tolerate() is exactly `faults.size() <= guaranteed_correctable()`
+  /// for every pattern and window (ECP-N, BCH-t): the fault count decides
+  /// placement on its own, so WindowPlacer answers from the line's per-byte
+  /// stuck prefix sums and never gathers a window's faults. False wherever
+  /// some patterns past the guarantee are still tolerated (SAFER, Aegis) or
+  /// the rule is not a plain count (SECDED's per-word rule, coset slack).
+  bool tolerance_is_count_exact = false;
 
   friend bool operator==(const SchemeTraits&, const SchemeTraits&) = default;
 };

@@ -83,7 +83,7 @@ std::size_t FrontTier::find(std::size_t set, LineAddr line) const {
   return config_.ways;
 }
 
-std::size_t FrontTier::choose_victim(std::size_t set) const {
+std::size_t FrontTier::choose_victim(std::size_t set) {
   const std::size_t ways = config_.ways;
   const TagEntry* base = tags_.data() + set * ways;
   if (config_.policy == TierPolicy::kComp) {
@@ -91,23 +91,25 @@ std::size_t FrontTier::choose_victim(std::size_t set) const {
     // the resident entries, evict the one whose payload compresses smallest
     // (cheapest to rewrite in PCM); ties go to the older entry. Incompressible
     // lines therefore survive roughly twice as long as plain LRU would keep
-    // them, at the same capacity. Since lru ticks are unique, that victim is
-    // the minimum (plan_size, lru) among ways with fewer than `half` older
-    // valid ways; the scan ranks only ways that would beat the current best,
-    // so it needs no sorted copy of the set.
-    const PayloadSlot* slots = payloads_.data() + set * ways;
+    // them, at the same capacity. Since lru ticks are unique, the candidates
+    // are the ways with fewer than `half` older valid ways, and the victim is
+    // their minimum (plan_size, lru). The LRU ranks are settled first, so
+    // only candidates ever have their payload's size probed.
+    PayloadSlot* slots = payloads_.data() + set * ways;
     std::size_t valid = 0;
     for (std::size_t w = 0; w < ways; ++w) valid += base[w].valid ? 1 : 0;
     const std::size_t half = (valid + 1) / 2;
     const auto key = [&](std::size_t w) { return std::pair{slots[w].plan_size, base[w].lru}; };
     std::size_t best = ways;
     for (std::size_t w = 0; w < ways; ++w) {
-      if (!base[w].valid || (best != ways && key(best) < key(w))) continue;
+      if (!base[w].valid) continue;
       std::size_t older = 0;
       for (std::size_t u = 0; u < ways; ++u) {
         older += (base[u].valid && base[u].lru < base[w].lru) ? 1 : 0;
       }
-      if (older < half) best = w;
+      if (older >= half) continue;
+      if (slots[w].plan_size == kPlanUnknown) slots[w].plan_size = probe_plan_size(slots[w].data);
+      if (best == ways || key(w) < key(best)) best = w;
     }
     ensures(best != ways, "choose_victim called on an empty set");
     return best;
@@ -124,12 +126,13 @@ std::size_t FrontTier::choose_victim(std::size_t set) const {
 void FrontTier::evict(std::size_t set, std::size_t way, bool count_as_flush) {
   TagEntry& e = tags_[set * config_.ways + way];
   ensures(e.valid, "evicting an invalid tier entry");
-  const PayloadSlot& p = payloads_[set * config_.ways + way];
+  PayloadSlot& p = payloads_[set * config_.ways + way];
   Forward fwd;
   fwd.line = e.line;
   fwd.tag = e.tag;
   fwd.data = p.data;
   if (content_aware()) {
+    if (!p.fp_valid) p.fp = fingerprint(p.data);
     pcm_resident_[e.line] = ResidentLine{p.fp, p.data};
     stats_.words_touched += static_cast<std::uint64_t>(std::popcount(e.touched));
   } else {
@@ -208,21 +211,21 @@ FrontTier::Outcome FrontTier::filter(LineAddr line, const Block& data, std::uint
   if (const std::size_t way = find(set, line); way != config_.ways) {
     // Hit: the write-back coalesces in DRAM. Content-aware policies compare
     // payloads first so byte-identical rewrites don't even touch the stored
-    // copy (and are reported as silent hits).
+    // copy (and are reported as silent hits); a changed payload drops the
+    // slot's derived values.
     ++stats_.hits;
     TagEntry& e = tags_[row + way];
     e.lru = ++tick_;
     e.tag = tag;
     PayloadSlot& old = payloads_[row + way];
     if (content_aware()) {
-      const std::uint64_t fp = fingerprint(data);
-      if (old.fp == fp && std::memcmp(old.data.data(), data.data(), kBlockBytes) == 0) {
+      if (std::memcmp(old.data.data(), data.data(), kBlockBytes) == 0) {
         ++stats_.silent_hits;
         return Outcome::kSilentHit;
       }
       e.touched = static_cast<std::uint16_t>(e.touched | touched_words(old.data, data));
-      old.fp = fp;
-      old.plan_size = probe_plan_size(data);
+      old.fp_valid = false;
+      old.plan_size = kPlanUnknown;
     }
     old.data = data;
     return Outcome::kHit;
@@ -230,14 +233,16 @@ FrontTier::Outcome FrontTier::filter(LineAddr line, const Block& data, std::uint
 
   std::uint16_t touched = static_cast<std::uint16_t>((1u << (kBlockBytes / 4)) - 1);
   std::uint64_t fp = 0;
+  bool fp_valid = false;
   if (content_aware()) {
-    fp = fingerprint(data);
     // Silent/partial-store elimination: a miss whose payload matches what PCM
     // already holds is dropped outright (fingerprint gate, then a verifying
     // word compare); a partial overlap shrinks the entry's touched-word mask
     // to the words that actually differ.
     const auto it = pcm_resident_.find(line);
     if (it != pcm_resident_.end()) {
+      fp = fingerprint(data);
+      fp_valid = true;
       if (it->second.fp == fp) {
         if (std::memcmp(it->second.data.data(), data.data(), kBlockBytes) == 0) {
           ++stats_.silent_drops;
@@ -260,7 +265,8 @@ FrontTier::Outcome FrontTier::filter(LineAddr line, const Block& data, std::uint
   PayloadSlot& p = payloads_[row + way];
   p.data = data;
   p.fp = fp;
-  p.plan_size = content_aware() ? probe_plan_size(data) : kBlockBytes;
+  p.fp_valid = fp_valid;
+  p.plan_size = kPlanUnknown;
   TagEntry& e = tags_[row + way];
   e.line = line;
   e.valid = true;

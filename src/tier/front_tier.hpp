@@ -189,11 +189,17 @@ class FrontTier {
     std::uint64_t lru = 0;       ///< global tick; larger = more recent
     std::uint16_t touched = 0;   ///< u32-word mask touched since PCM copy
   };
+  /// A resident payload plus two values derived from its bytes. Both are
+  /// caches, filled on first need and dropped whenever `data` changes: only
+  /// eviction reads `fp` (for the PCM-resident copy) and only comp's victim
+  /// choice reads `plan_size`, so most puts never compute either.
   struct PayloadSlot {
     Block data{};
-    std::uint64_t fp = 0;
-    std::uint8_t plan_size = kBlockBytes;  ///< compressed-size probe
+    std::uint64_t fp = 0;                  ///< fingerprint(data) when fp_valid
+    std::uint8_t plan_size = kPlanUnknown; ///< compressed-size probe, or kPlanUnknown
+    bool fp_valid = false;
   };
+  static constexpr std::uint8_t kPlanUnknown = 0xff;  ///< > any probe (<= 64)
   struct ResidentLine {
     std::uint64_t fp = 0;
     Block data{};
@@ -203,8 +209,8 @@ class FrontTier {
   /// Way index of `line` within `set`, or config_.ways when absent.
   [[nodiscard]] std::size_t find(std::size_t set, LineAddr line) const;
   /// Policy victim among the valid entries of `set`; never called on an
-  /// empty set.
-  [[nodiscard]] std::size_t choose_victim(std::size_t set) const;
+  /// empty set. Under kComp it fills the plan-size cache of the candidates.
+  [[nodiscard]] std::size_t choose_victim(std::size_t set);
   /// Forwards way `way` of `set` to the sink and frees it.
   void evict(std::size_t set, std::size_t way, bool count_as_flush = false);
   void charge_latency(std::uint64_t order);

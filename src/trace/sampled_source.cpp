@@ -31,11 +31,6 @@ SampledTraceSource::SampledTraceSource(const AppProfile& app, std::uint64_t regi
   current_.resize(region_lines_);
 }
 
-std::uint64_t SampledTraceSource::draw_rank() {
-  const std::uint64_t i = rank_rng_.next_below(alias_size_);
-  return rank_rng_.next_double() < alias_prob_[i] ? i : alias_[i];
-}
-
 void SampledTraceSource::rebuild_base(LineAddr line, LineState& st) {
   const ValueClassSpec& spec = app_.classes[st.class_index];
   ctx_[line] = make_gen_context(spec, line, st.shape);
@@ -82,15 +77,28 @@ void SampledTraceSource::produce(LineAddr line, WritebackEvent& ev) {
 
 std::size_t SampledTraceSource::next_batch(std::span<WritebackEvent> out) {
   const prof::ScopedStage stage(prof::Stage::kTraceGen);
-  // Tile the batch: draw a run of ranks back-to-back (tight RNG/alias loop),
-  // then run the state updates. Keeps the hot alias arrays in cache across a
-  // tile instead of interleaving them with 64-byte block traffic.
+  // Tile the batch: draw a run of ranks back-to-back, then run the state
+  // updates, so the alias arrays are not interleaved with 64-byte block
+  // traffic. Each alias draw is a uniform slot i plus a coin against
+  // prob[i]; the tile takes every (slot, coin) pair first, in the order a
+  // one-at-a-time draw consumes them, and prefetches each slot's prob/alias
+  // entries, so the multi-MB table's cache misses overlap instead of
+  // serializing on the RNG chain.
+  std::array<std::uint64_t, 64> slot;
+  std::array<double, 64> coin;
   std::array<LineAddr, 64> lines;
   std::size_t done = 0;
   while (done < out.size()) {
     const std::size_t tile = std::min(lines.size(), out.size() - done);
     for (std::size_t i = 0; i < tile; ++i) {
-      lines[i] = fold_rank(draw_rank(), seed_, region_lines_);
+      slot[i] = rank_rng_.next_below(alias_size_);
+      coin[i] = rank_rng_.next_double();
+      __builtin_prefetch(alias_prob_ + slot[i]);
+      __builtin_prefetch(alias_ + slot[i]);
+    }
+    for (std::size_t i = 0; i < tile; ++i) {
+      const std::uint64_t rank = coin[i] < alias_prob_[slot[i]] ? slot[i] : alias_[slot[i]];
+      lines[i] = fold_rank(rank, seed_, region_lines_);
     }
     for (std::size_t i = 0; i < tile; ++i) produce(lines[i], out[done + i]);
     done += tile;

@@ -82,7 +82,6 @@ class SampledTraceSource final : public TraceSource {
     bool initialized = false;
   };
 
-  [[nodiscard]] std::uint64_t draw_rank();
   void rebuild_base(LineAddr line, LineState& st);
   void produce(LineAddr line, WritebackEvent& ev);
 
@@ -98,7 +97,7 @@ class SampledTraceSource final : public TraceSource {
   Rng state_rng_;
   ClassAssigner classes_;
   // Alias table over Zipf ranks: P(rank k) proportional to 1/(k+1)^theta,
-  // identical pmf to common/zipf.hpp's CDF sampler. draw_rank reads the
+  // identical pmf to common/zipf.hpp's CDF sampler. next_batch reads the
   // table's arrays through the cached pointers, not through the shared_ptr.
   std::shared_ptr<const ZipfAliasTable> alias_table_;
   const double* alias_prob_;

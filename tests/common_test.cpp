@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "common/cli.hpp"
 #include "common/rng.hpp"
@@ -201,6 +203,36 @@ TEST(Cli, ParsesFlagsAndValues) {
   EXPECT_EQ(args.get("name", ""), "milc");
   EXPECT_EQ(args.get_int("absent", 7), 7);
   EXPECT_FALSE(args.get_bool("absent"));
+}
+
+TEST(Cli, NumbersParseTheWholeTokenAndCountsRejectNegatives) {
+  const char* argv[] = {"prog", "--junk", "16x", "--exp", "2e4", "--neg", "-5",
+                        "--big", "18446744073709551615", "--huge", "18446744073709551616",
+                        "--empty=", "--rate", "1e-3"};
+  const CliArgs args(14, argv);
+  EXPECT_THROW((void)args.get_int("junk", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_uint("junk", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_int("exp", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_int("empty", 0), std::invalid_argument);
+  EXPECT_EQ(args.get_int("neg", 0), -5);
+  EXPECT_THROW((void)args.get_uint("neg", 0), std::invalid_argument);
+  EXPECT_EQ(args.get_uint("big", 0), 18446744073709551615ull);
+  EXPECT_THROW((void)args.get_uint("huge", 0), std::out_of_range);
+  EXPECT_THROW((void)args.get_int("big", 0), std::out_of_range);
+  EXPECT_DOUBLE_EQ(args.get_double("exp", 0), 2e4);
+  EXPECT_DOUBLE_EQ(args.get_double("rate", 0), 1e-3);
+  EXPECT_THROW((void)args.get_double("junk", 0), std::invalid_argument);
+  EXPECT_EQ(args.get_uint("absent", 9), 9u);
+  // The message names the flag and echoes the offending token.
+  try {
+    (void)args.get_uint("neg", 0);
+    FAIL() << "negative count accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--neg"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("'-5'"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(parse_uint("12", "list"), 12u);
+  EXPECT_THROW((void)parse_uint("12,", "list"), std::invalid_argument);
 }
 
 TEST(Cli, RejectsStrayPositionals) {

@@ -147,6 +147,56 @@ INSTANTIATE_TEST_SUITE_P(AllRegistered, RegisteredSchemeRecovery,
                          });
 
 // ---------------------------------------------------------------------------
+// tolerance_is_count_exact: WindowPlacer decides placement from fault counts
+// alone for schemes carrying the trait, so the trait must mean exactly
+// `can_tolerate == (faults <= guaranteed)` on every pattern and window size —
+// and it must be withheld only where some pattern breaks that rule.
+
+TEST(Registry, CountExactSchemesTolerateExactlyByCount) {
+  std::vector<std::string> specs;
+  for (const auto& info : registered_schemes()) specs.emplace_back(info.spec);
+  for (std::size_t n = 1; n <= 12; ++n) specs.push_back("ecp" + std::to_string(n));
+  for (std::size_t t = 1; t <= 6; ++t) specs.push_back("bch-t" + std::to_string(t));
+  std::size_t checked = 0;
+  for (const auto& spec : specs) {
+    const auto scheme = make_scheme(spec);
+    if (!scheme->traits().tolerance_is_count_exact) continue;
+    SCOPED_TRACE(spec);
+    ++checked;
+    Rng rng(mix64(0xC0427, scheme->metadata_bits()));
+    const std::size_t guaranteed = scheme->guaranteed_correctable();
+    for (const std::size_t window_bits : {64u, 136u, 256u, 512u}) {
+      for (std::size_t nfaults = 0; nfaults <= 2 * guaranteed + 2; ++nfaults) {
+        for (int iter = 0; iter < 20; ++iter) {
+          const auto faults = random_faults(rng, nfaults, window_bits);
+          ASSERT_EQ(scheme->can_tolerate(faults, window_bits), nfaults <= guaranteed)
+              << nfaults << " faults in a " << window_bits << "-bit window";
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 4u + 12u + 6u) << "ecp6/ecp12/bch-t2/bch-t6 plus every ecp<N>, bch-t<T>";
+}
+
+TEST(Registry, SchemesWithoutTheTraitToleratePastTheirCount) {
+  // SAFER and Aegis re-partition around extra faults, SECDED and coset take
+  // one fault per word: each tolerates some pattern larger than its
+  // guarantee, so a count-only answer would misplace windows.
+  for (const auto& info : registered_schemes()) {
+    if (info.traits.tolerance_is_count_exact) continue;
+    SCOPED_TRACE(std::string(info.spec));
+    const auto scheme = make_scheme(info.spec);
+    Rng rng(mix64(0x7A5, scheme->metadata_bits()));
+    const std::size_t nfaults = scheme->guaranteed_correctable() + 1;
+    bool tolerated = false;
+    for (int iter = 0; iter < 500 && !tolerated; ++iter) {
+      tolerated = scheme->can_tolerate(random_faults(rng, nfaults, kBlockBits), kBlockBits);
+    }
+    EXPECT_TRUE(tolerated);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // BCH-t specifics: 2t stuck cells are erasures under a distance-(2t+1) code,
 // so capability is exactly 2t at a metadata cost of 10t bits.
 

@@ -1,19 +1,25 @@
 // Front-tier suite: policy-ordered victim choice, silent-store elimination
-// correctness against a filterless reference, way bookkeeping across
+// correctness against a filterless reference, the lazily derived comp state
+// against an eager reference, way bookkeeping across
 // eviction/invalidation/flush, the tier's accounting identities under every
 // policy, thread-count determinism of the tiered sharded engine, and the
 // cache -> tier -> PCM plumb through the writeback_sink adapters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cache/hierarchy.hpp"
 #include "common/assert.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "compression/best_of.hpp"
 #include "core/system.hpp"
 #include "sim/lifetime.hpp"
 #include "sim/sharded_engine.hpp"
@@ -345,6 +351,202 @@ TEST(FrontTier, HierarchyWritebacksFlowThroughTierIntoPcm) {
   EXPECT_EQ(pcm.stats().writes, st.evictions + st.flushes);
   EXPECT_EQ(st.offered, st.hits + st.silent_drops + st.inserts);
   EXPECT_LT(pcm.stats().writes, st.offered);
+}
+
+/// Eager model of the comp policy: every put recomputes the payload's
+/// fingerprint and compressed-size probe and stores both with the line, and
+/// the victim is picked from a sorted copy of the set — the definitional
+/// form of the rule FrontTier evaluates lazily. Set indexing mirrors the
+/// tier's (mix64 of the line), so the two see the same conflicts.
+class EagerCompTier {
+ public:
+  struct Entry {
+    bool valid = false;
+    LineAddr line = 0;
+    std::uint32_t tag = 0;
+    std::uint64_t lru = 0;
+    std::uint16_t touched = 0;
+    Block data{};
+    std::uint64_t fp = 0;
+    std::size_t plan_size = 0;
+  };
+  struct Resident {
+    std::uint64_t fp = 0;
+    Block data{};
+  };
+
+  EagerCompTier(std::size_t sets, std::size_t ways, std::vector<FrontTier::Forward>& out)
+      : sets_(sets), ways_(ways), entries_(sets * ways), out_(out) {}
+
+  FrontTier::Outcome put(LineAddr line, const Block& data, std::uint32_t tag) {
+    ++stats.offered;
+    const std::uint64_t fp = FrontTier::fingerprint(data);
+    const std::size_t plan = plan_size(data);
+    Entry* set = &entries_[static_cast<std::size_t>(mix64(line) % sets_) * ways_];
+    for (std::size_t w = 0; w < ways_; ++w) {
+      Entry& e = set[w];
+      if (!e.valid || e.line != line) continue;
+      ++stats.hits;
+      e.lru = ++tick_;
+      e.tag = tag;
+      if (e.fp == fp && e.data == data) {
+        ++stats.silent_hits;
+        return FrontTier::Outcome::kSilentHit;
+      }
+      e.touched = static_cast<std::uint16_t>(e.touched | touched_words(e.data, data));
+      e.data = data;
+      e.fp = fp;
+      e.plan_size = plan;
+      return FrontTier::Outcome::kHit;
+    }
+    std::uint16_t touched = 0xffff;
+    if (const auto it = resident_.find(line); it != resident_.end()) {
+      if (it->second.fp == fp) {
+        if (it->second.data == data) {
+          ++stats.silent_drops;
+          return FrontTier::Outcome::kSilentDrop;
+        }
+        ++stats.fp_false_hits;
+      }
+      touched = touched_words(it->second.data, data);
+    }
+    std::size_t way = 0;
+    while (way < ways_ && set[way].valid) ++way;
+    if (way == ways_) {
+      way = victim(set);
+      evict(set[way], /*flush=*/false);
+    }
+    set[way] = Entry{true, line, tag, ++tick_, touched, data, fp, plan};
+    ++stats.inserts;
+    return FrontTier::Outcome::kInserted;
+  }
+
+  void flush() {
+    for (Entry& e : entries_) {
+      if (e.valid) evict(e, /*flush=*/true);
+    }
+  }
+
+  FrontTierStats stats;
+
+ private:
+  static std::uint16_t touched_words(const Block& a, const Block& b) {
+    std::uint16_t mask = 0;
+    for (std::size_t w = 0; w < kBlockBytes / 4; ++w) {
+      if (std::memcmp(a.data() + 4 * w, b.data() + 4 * w, 4) != 0) {
+        mask = static_cast<std::uint16_t>(mask | (1u << w));
+      }
+    }
+    return mask;
+  }
+
+  std::size_t plan_size(const Block& data) const {
+    return compressor_.probe_size(data).value_or(kBlockBytes);
+  }
+
+  /// Smallest (plan_size, lru) among the older half of the resident ways.
+  std::size_t victim(const Entry* set) const {
+    std::vector<std::size_t> order;
+    for (std::size_t w = 0; w < ways_; ++w) {
+      if (set[w].valid) order.push_back(w);
+    }
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) { return set[a].lru < set[b].lru; });
+    order.resize((order.size() + 1) / 2);
+    return *std::min_element(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return std::pair{set[a].plan_size, set[a].lru} < std::pair{set[b].plan_size, set[b].lru};
+    });
+  }
+
+  void evict(Entry& e, bool flush) {
+    resident_[e.line] = Resident{e.fp, e.data};
+    stats.words_touched += static_cast<std::uint64_t>(std::popcount(e.touched));
+    stats.words_forwarded += kBlockBytes / 4;
+    ++(flush ? stats.flushes : stats.evictions);
+    out_.push_back(FrontTier::Forward{e.line, e.tag, e.data});
+    e.valid = false;
+  }
+
+  std::size_t sets_;
+  std::size_t ways_;
+  std::vector<Entry> entries_;
+  std::unordered_map<LineAddr, Resident> resident_;
+  std::vector<FrontTier::Forward>& out_;
+  BestOfCompressor compressor_;
+  std::uint64_t tick_ = 0;
+};
+
+void expect_same_stats(const FrontTierStats& a, const FrontTierStats& b) {
+  EXPECT_EQ(a.offered, b.offered);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.silent_hits, b.silent_hits);
+  EXPECT_EQ(a.silent_drops, b.silent_drops);
+  EXPECT_EQ(a.inserts, b.inserts);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.flushes, b.flushes);
+  EXPECT_EQ(a.invalidates, b.invalidates);
+  EXPECT_EQ(a.fp_false_hits, b.fp_false_hits);
+  EXPECT_EQ(a.words_forwarded, b.words_forwarded);
+  EXPECT_EQ(a.words_touched, b.words_touched);
+}
+
+TEST(FrontTier, LazyCompTierMatchesEagerReference) {
+  // The comp tier derives a payload's fingerprint and size probe only when an
+  // eviction needs them. Over a stream of compressible, incompressible and
+  // partially rewritten payloads with heavy reuse (silent hits and drops,
+  // touched-word shrinking, >10 k evictions) it must behave exactly like the
+  // eager model: same outcome per put, same forwards in the same order, same
+  // counters.
+  FrontTierConfig cfg;
+  cfg.capacity_lines = 64;
+  cfg.ways = 8;
+  cfg.policy = TierPolicy::kComp;
+  cfg.model_latency = false;
+  std::vector<FrontTier::Forward> lazy_out;
+  std::vector<FrontTier::Forward> eager_out;
+  FrontTier tier(cfg, [&](const FrontTier::Forward& f) { lazy_out.push_back(f); });
+  EagerCompTier eager(tier.sets(), cfg.ways, eager_out);
+
+  std::unordered_map<LineAddr, Block> last;
+  for (std::uint64_t i = 0; i < 60000; ++i) {
+    const LineAddr line = mix64(21, i) % 384;
+    const std::uint64_t pick = mix64(22, i);
+    Block data;
+    switch (pick % 5) {
+      case 0: data = filled(static_cast<std::uint8_t>(pick >> 8) % 4); break;
+      case 1: data = random_block(line * 4 + (pick >> 8) % 3); break;
+      case 2: {
+        data = last.count(line) ? last[line] : random_block(line);
+        store_le(data, 4 * ((pick >> 8) % 16), static_cast<std::uint32_t>(pick >> 16));
+        break;
+      }
+      case 3: {
+        data = Block{};
+        for (std::size_t w = 0; w < (pick >> 8) % 16; ++w) {
+          store_le(data, 4 * w, static_cast<std::uint32_t>((pick >> 12) % 200));
+        }
+        break;
+      }
+      default: data = last.count(line) ? last[line] : filled(9); break;
+    }
+    last[line] = data;
+    const auto tag = static_cast<std::uint32_t>(i % 13);
+    ASSERT_EQ(tier.put(line, data, tag), eager.put(line, data, tag)) << "put " << i;
+    ASSERT_EQ(lazy_out.size(), eager_out.size()) << "put " << i;
+  }
+  tier.flush();
+  eager.flush();
+
+  EXPECT_GT(tier.stats().evictions, 10000u);
+  EXPECT_GT(tier.stats().silent_hits, 0u);
+  EXPECT_GT(tier.stats().silent_drops, 0u);
+  expect_same_stats(tier.stats(), eager.stats);
+  ASSERT_EQ(lazy_out.size(), eager_out.size());
+  for (std::size_t k = 0; k < lazy_out.size(); ++k) {
+    ASSERT_EQ(lazy_out[k].line, eager_out[k].line) << "forward " << k;
+    ASSERT_EQ(lazy_out[k].tag, eager_out[k].tag) << "forward " << k;
+    ASSERT_EQ(lazy_out[k].data, eager_out[k].data) << "forward " << k;
+  }
 }
 
 TEST(FrontTier, ConfigContractsAreEnforced) {

@@ -7,17 +7,22 @@
 // can_tolerate() is asked for every candidate — so any stale or miscounted
 // cache entry shows up as a fits/find divergence. Exercised three ways:
 // injected faults, faults born by wear-out writes, and a live PcmSystem with
-// Start-Gap moves and intra-line rotation churning the lines.
+// Start-Gap moves and intra-line rotation churning the lines. Every window-
+// composable line scheme runs: the count-exact codes (ECP, BCH), whose
+// answers past the guarantee come from the prefix sums alone, and the
+// partition codes (SAFER, Aegis), which still gather each window's faults.
 #include "core/window.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/system.hpp"
+#include "ecc/registry.hpp"
 
 namespace pcmsim {
 namespace {
@@ -90,13 +95,15 @@ void expect_cache_matches_scan(const PcmArray& array, std::size_t line) {
   }
 }
 
-TEST(PlacementCache, CoherentUnderInjectedFaults) {
+class SchemePlacement : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SchemePlacement, CoherentUnderInjectedFaults) {
   PcmDeviceConfig cfg;
   cfg.lines = 6;
   cfg.endurance_mean = 1e4;
   cfg.seed = 5;
   PcmArray array(cfg);
-  const auto scheme = make_scheme("ecp6");
+  const auto scheme = make_scheme(GetParam());
   const WindowPlacer placer(*scheme);
 
   Rng driver(404);
@@ -114,7 +121,7 @@ TEST(PlacementCache, CoherentUnderInjectedFaults) {
   }
 }
 
-TEST(PlacementCache, CoherentUnderWearOutBirthsAndGapMoves) {
+TEST_P(SchemePlacement, CoherentUnderWearOutBirthsAndGapMoves) {
   // Faults born inside PcmSystem's write path (slow-path wear-out) with
   // Start-Gap copies and rotation moving windows around — the cache is
   // updated from on_fault_born, never rebuilt wholesale, so this catches any
@@ -126,8 +133,9 @@ TEST(PlacementCache, CoherentUnderWearOutBirthsAndGapMoves) {
   cfg.device.endurance_cov = 0.2;
   cfg.device.seed = 9;
   cfg.seed = 9;
+  cfg.ecc_spec = GetParam();
   PcmSystem system(cfg);
-  const auto scheme = make_scheme("ecp6");
+  const auto scheme = make_scheme(GetParam());
   const WindowPlacer placer(*scheme);
 
   Rng driver(505);
@@ -151,6 +159,36 @@ TEST(PlacementCache, CoherentUnderWearOutBirthsAndGapMoves) {
     total_stuck += system.array().data_stuck_count(line);
   }
   EXPECT_GT(total_stuck, 0u) << "run too short to birth any faults; weaken endurance";
+}
+
+INSTANTIATE_TEST_SUITE_P(WindowSchemes, SchemePlacement,
+                         ::testing::Values("ecp6", "ecp12", "safer32", "aegis17x31", "bch-t2",
+                                           "bch-t6"),
+                         [](const ::testing::TestParamInfo<const char*>& param) {
+                           std::string name = param.param;
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name;
+                         });
+
+TEST(PlacementCache, SuiteCoversEveryWindowComposableLineScheme) {
+  // The instantiation above must grow with the registry, and it must hold
+  // both kinds of placement answer.
+  std::size_t count_exact = 0;
+  std::size_t gathered = 0;
+  for (const auto& info : registered_schemes()) {
+    if (!info.traits.composes_with_window ||
+        info.traits.granularity != SchemeGranularity::kLine) {
+      continue;
+    }
+    SCOPED_TRACE(std::string(info.spec));
+    EXPECT_TRUE(info.spec == "ecp6" || info.spec == "ecp12" || info.spec == "safer32" ||
+                info.spec == "aegis17x31" || info.spec == "bch-t2" || info.spec == "bch-t6");
+    (info.traits.tolerance_is_count_exact ? count_exact : gathered) += 1;
+  }
+  EXPECT_EQ(count_exact, 4u);
+  EXPECT_EQ(gathered, 2u);
 }
 
 TEST(PlacementCache, SlideUpRejectsOverhangEvenOnCleanLines) {
